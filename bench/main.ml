@@ -1175,12 +1175,7 @@ let e27 () =
     match
       List.find_opt (fun (l : Drc.level) -> l.Drc.l_hash = hex) r.Drc.h_levels
     with
-    | Some l ->
-      [ ( deck_digest,
-          { Drc.cl_violations = l.Drc.l_violations;
-            cl_contexts = l.Drc.l_contexts;
-            cl_distinct = l.Drc.l_distinct;
-            cl_boxes = l.Drc.l_boxes } ) ]
+    | Some l -> [ (deck_digest, Drc.cached_of_level l) ]
     | None -> []
   in
   (* previous run of the unedited design: its table is the cache; the

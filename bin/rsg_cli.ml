@@ -52,11 +52,8 @@ let with_obs (text, json) f =
       if json then prerr_endline (Obs.to_json ())
       else if text then Obs.dump ())
 
-let read_file path =
-  let ic = open_in path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
+(* reads to end of input, so pipes work as well as files *)
+let read_file path = In_channel.with_open_bin path In_channel.input_all
 
 let json_escape s =
   let b = Buffer.create (String.length s + 8) in
@@ -300,28 +297,15 @@ let drc_gate_protos ?domains ~cached protos =
     exit 1
   end
 
-let proto_index table =
-  let h = Hashtbl.create 64 in
-  Array.iter
-    (fun (p : Codec.proto) -> Hashtbl.replace h (Digest.to_hex p.Codec.p_hash) p)
-    table;
-  h
-
-(* Run one generator through the store.
-
-   Warm path: load the stored hierarchy + flat view; --drc replays the
-   entry's own per-prototype levels, recomputing nothing.
-
-   Cold path: generate, then harvest the {e previous} entry for this
-   design ([stem] names the design independently of its content, so an
-   edit still finds it): every prototype whose subtree digest is
-   unchanged replays its stored DRC level and is marked reused in the
-   new entry; only the dirty prototypes — the edited celltypes and
-   their ancestors — are actually checked, fanned across the domain
-   pool.  The installed entry carries the prototype table (digests,
-   reused flags, per-deck levels) so the next edit harvests it in
-   turn.  The flat view is lazy so a plain uncached run never pays for
-   it. *)
+(* Run one generator through the store (Store.Cached.run).  A hit
+   loads the stored hierarchy and flat view; --drc/--erc replay the
+   entry's own per-prototype results.  A miss generates, after
+   harvesting the previous entry for this design ([stem] names the
+   design independently of its content, so an edit still finds it):
+   only the dirty prototypes — the edited celltypes and their
+   ancestors — are checked, and the new entry marks the rest reused so
+   the next edit harvests it in turn.  The flat view is lazy so a
+   plain uncached run never pays for it. *)
 let run_cached ?domains ?(post = fun (c : Cell.t) -> c)
     ~store:(cache, save_db, scale) ~stem ~design ~params ~label
     ~stats:want_stats ~drc ~erc ~out gen =
@@ -340,147 +324,82 @@ let run_cached ?domains ?(post = fun (c : Cell.t) -> c)
   let key =
     Store.key ~deck ~scale:(string_of_int scale) ~design ~params ()
   in
-  let st = Option.map Store.open_ cache in
-  let cold store =
-    let cell = gen () in
-    let protos = Flatten.prototypes cell in
-    let harvested =
-      match store with
-      | Some s -> (
-        match Store.harvest s ~stem with
-        | Some (k, table) when Array.length table > 0 ->
-          Format.printf "cache: harvesting %s (%d prototypes)@."
-            (Store.short k) (Array.length table);
-          Some (proto_index table)
-        | _ -> None)
-      | None -> None
-    in
-    let old_proto hex =
-      match harvested with None -> None | Some h -> Hashtbl.find_opt h hex
-    in
-    let hier =
-      if drc then begin
-        let cached hex =
-          Option.bind (old_proto hex) (fun (p : Codec.proto) ->
-              List.assoc_opt deck_digest p.Codec.p_reports)
-        in
-        Some (drc_gate_protos ?domains ~cached protos)
-      end
-      else None
-    in
-    let ehier =
-      if erc then begin
-        let cached hex =
-          Option.bind (old_proto hex) (fun (p : Codec.proto) ->
-              List.assoc_opt erc_digest p.Codec.p_ercs)
-        in
-        Some (erc_gate_protos ?domains ~cached protos)
-      end
-      else None
-    in
-    let cell, protos =
-      if scale = 1 then (cell, protos)
-      else begin
-        let c = Scale.cell ~num:scale cell in
-        (c, Flatten.prototypes c)
-      end
-    in
-    let flat = lazy (Flatten.protos_flat protos) in
-    (match store with
-    | Some s ->
-      (* scaling changes every digest, so reused flags and DRC reports
-         (both computed pre-scale) only annotate scale-1 entries — the
-         table itself always describes the stored geometry *)
-      let reused hex = scale = 1 && old_proto hex <> None in
-      let reports =
-        match hier with
-        | Some r when scale = 1 ->
-          let by_hex =
-            List.map
-              (fun (l : Rsg_drc.Drc.level) ->
-                ( l.Rsg_drc.Drc.l_hash,
-                  { Rsg_drc.Drc.cl_violations = l.Rsg_drc.Drc.l_violations;
-                    cl_contexts = l.Rsg_drc.Drc.l_contexts;
-                    cl_distinct = l.Rsg_drc.Drc.l_distinct;
-                    cl_boxes = l.Rsg_drc.Drc.l_boxes } ))
-              r.Rsg_drc.Drc.h_levels
-          in
-          fun hex ->
-            (match List.assoc_opt hex by_hex with
-            | Some cl -> [ (deck_digest, cl) ]
-            | None -> [])
-        | _ -> fun _ -> []
-      in
-      let ercs =
-        match ehier with
-        | Some r when scale = 1 ->
-          let by_hex =
-            List.map
-              (fun (l : Erc.level) -> (l.Erc.l_hash, l.Erc.l_verdict))
-              r.Erc.r_levels
-          in
-          fun hex ->
-            (match List.assoc_opt hex by_hex with
-            | Some v -> [ (erc_digest, v) ]
-            | None -> [])
-        | _ -> fun _ -> []
-      in
-      let table = Codec.proto_table protos ~reused ~reports ~ercs in
-      let n_reused =
-        Array.fold_left
-          (fun a (p : Codec.proto) -> if p.Codec.p_reused then a + 1 else a)
-          0 table
-      in
-      Array.iter
-        (fun (p : Codec.proto) ->
-          Obs.count
-            (if p.Codec.p_reused then "cache.proto.reused"
-             else "cache.proto.fresh"))
-        table;
-      Store.save s key ~stem ~label ~flat:(Lazy.force flat) ~protos:table cell;
-      Format.printf "cache: saved %s (%d prototypes, %d reused)@."
-        (Store.short key) (Array.length table) n_reused
-    | None -> ());
-    (cell, flat)
+  let run =
+    Store.Cached.start ~log:Format.std_formatter ~stem
+      (Option.map Store.open_ cache)
   in
-  let cell, flat =
-    match st with
-    | None -> cold None
-    | Some s -> (
-      match Store.find s key with
-      | Store.Hit e ->
-        Format.printf "cache: hit %s@." (Store.short key);
-        let protos = lazy (Flatten.prototypes e.Codec.e_cell) in
-        let flat =
-          lazy
-            (match Lazy.force e.Codec.e_flat with
-            | Some f -> f
-            | None -> Flatten.protos_flat (Lazy.force protos))
+  (* the gates' per-prototype results, by subtree hex *)
+  let gates protos =
+    let reports =
+      if drc then
+        List.map
+          (fun (l : Rsg_drc.Drc.level) ->
+            (l.Rsg_drc.Drc.l_hash, Rsg_drc.Drc.cached_of_level l))
+          (drc_gate_protos ?domains
+             ~cached:
+               (Store.Cached.replay run (fun p -> p.Codec.p_reports) deck_digest)
+             (Lazy.force protos))
+            .Rsg_drc.Drc.h_levels
+      else []
+    in
+    let ercs =
+      if erc then
+        List.map
+          (fun (l : Erc.level) -> (l.Erc.l_hash, l.Erc.l_verdict))
+          (erc_gate_protos ?domains
+             ~cached:(Store.Cached.replay run (fun p -> p.Codec.p_ercs) erc_digest)
+             (Lazy.force protos))
+            .Erc.r_levels
+      else []
+    in
+    (reports, ercs)
+  in
+  let cell, _, flat, _ =
+    Store.Cached.run run key ~redo:"regenerating"
+      ~compute:(function
+        | Some e ->
+          let protos = lazy (Flatten.prototypes e.Codec.e_cell) in
+          let flat =
+            lazy
+              (match Lazy.force e.Codec.e_flat with
+              | Some f -> f
+              | None -> Flatten.protos_flat (Lazy.force protos))
+          in
+          (e.Codec.e_cell, protos, flat, gates protos)
+        | None ->
+          let cell = gen () in
+          let protos = Flatten.prototypes cell in
+          let checked = gates (lazy protos) in
+          (* scaling changes every digest, so check results (computed
+             pre-scale) only annotate scale-1 entries — the table itself
+             always describes the stored geometry *)
+          let cell, protos, checked =
+            if scale = 1 then (cell, protos, checked)
+            else
+              let c = Scale.cell ~num:scale cell in
+              (c, Flatten.prototypes c, ([], []))
+          in
+          (cell, lazy protos, lazy (Flatten.protos_flat protos), checked))
+      ~save:(fun (cell, protos, flat, (reports, ercs)) ->
+        let table =
+          Store.Cached.save run (lazy key) ~label ~flat
+            ~reused:(fun hex -> scale = 1 && Store.Cached.adopted run hex)
+            ~reports:(Store.Cached.by_hex deck_digest reports)
+            ~ercs:(Store.Cached.by_hex erc_digest ercs)
+            ~note:(fun table ->
+              Printf.sprintf "%d prototypes, %d reused" (Array.length table)
+                (Array.fold_left
+                   (fun a (p : Codec.proto) ->
+                     if p.Codec.p_reused then a + 1 else a)
+                   0 table))
+            protos cell
         in
-        if drc then begin
-          let h = proto_index e.Codec.e_protos in
-          let cached hex =
-            Option.bind (Hashtbl.find_opt h hex) (fun (p : Codec.proto) ->
-                List.assoc_opt deck_digest p.Codec.p_reports)
-          in
-          ignore (drc_gate_protos ?domains ~cached (Lazy.force protos))
-        end;
-        if erc then begin
-          let h = proto_index e.Codec.e_protos in
-          let cached hex =
-            Option.bind (Hashtbl.find_opt h hex) (fun (p : Codec.proto) ->
-                List.assoc_opt erc_digest p.Codec.p_ercs)
-          in
-          ignore (erc_gate_protos ?domains ~cached (Lazy.force protos))
-        end;
-        (e.Codec.e_cell, flat)
-      | Store.Miss ->
-        Format.printf "cache: miss %s@." (Store.short key);
-        cold (Some s)
-      | Store.Corrupt err ->
-        Format.printf "cache: corrupt entry (%a), regenerating@."
-          Codec.pp_error err;
-        cold (Some s))
+        Array.iter
+          (fun (p : Codec.proto) ->
+            Obs.count
+              (if p.Codec.p_reused then "cache.proto.reused"
+               else "cache.proto.fresh"))
+          table)
   in
   if want_stats then print_stats cell;
   (match save_db with
@@ -636,24 +555,21 @@ let run_search ?domains ~cache ~stem ~label ~design ~rules ~seed ~iters
   let iters, chains =
     match strategy with `Greedy -> (0, 1) | `Anneal -> (iters, chains)
   in
-  let st = Option.map Store.open_ cache in
+  let store = Option.map Store.open_ cache in
   let key =
     Store.key ~deck:(Digest.to_hex rules_digest) ~design ~params:"place-evals"
       ()
   in
   let prior = Hashtbl.create 256 in
-  (match st with
-  | Some s -> (
-    match Store.find s key with
-    | Store.Hit e ->
-      Array.iter
-        (fun (p : Codec.proto) ->
-          List.iter (fun (k, a) -> Hashtbl.replace prior k a) p.Codec.p_places)
-        e.Codec.e_protos;
-      Format.eprintf "cache: %d candidate evaluations harvested@."
-        (Hashtbl.length prior)
-    | Store.Miss | Store.Corrupt _ -> ())
-  | None -> ());
+  (match Option.map (fun s -> Store.find s key) store with
+  | Some (Store.Hit e) ->
+    Array.iter
+      (fun (p : Codec.proto) ->
+        List.iter (fun (k, a) -> Hashtbl.replace prior k a) p.Codec.p_places)
+      e.Codec.e_protos;
+    Format.eprintf "cache: %d candidate evaluations harvested@."
+      (Hashtbl.length prior)
+  | _ -> ());
   let cached d = Hashtbl.find_opt prior (Digest.string (d ^ rules_digest)) in
   let r = Anneal.run ?domains ~cached ~chains ~iters ~seed problem init in
   let s = r.Anneal.r_stats in
@@ -663,25 +579,29 @@ let run_search ?domains ~cache ~stem ~label ~design ~rules ~seed ~iters
     (match strategy with `Greedy -> "greedy" | `Anneal -> "anneal")
     seed s.Anneal.st_chains s.Anneal.st_iters r.Anneal.r_initial_cost
     r.Anneal.r_cost s.Anneal.st_computed s.Anneal.st_cached;
-  (match st with
-  | Some store ->
-    List.iter
-      (fun (d, c) ->
-        Hashtbl.replace prior (Digest.string (d ^ rules_digest)) c)
-      r.Anneal.r_evals;
-    let protos = Flatten.prototypes base_cell in
-    let root_hex = Flatten.subtree_hex protos (Flatten.protos_root protos) in
-    let evals =
-      List.sort compare (Hashtbl.fold (fun k a acc -> (k, a) :: acc) prior [])
-    in
-    let table =
-      Codec.proto_table protos ~places:(fun hex ->
-          if hex = root_hex then evals else [])
-    in
-    Store.save store key ~stem ~label ~protos:table base_cell;
-    Format.eprintf "cache: saved %s (%d candidate evaluations)@."
-      (Store.short key) (List.length evals)
-  | None -> ());
+  (* the prior and this run's evaluations, all on the root record *)
+  let evals =
+    lazy
+      (List.iter
+         (fun (d, c) ->
+           Hashtbl.replace prior (Digest.string (d ^ rules_digest)) c)
+         r.Anneal.r_evals;
+       List.sort compare (Hashtbl.fold (fun k a acc -> (k, a) :: acc) prior []))
+  in
+  let protos = lazy (Flatten.prototypes base_cell) in
+  ignore
+    (Store.Cached.save
+       (Store.Cached.start ~log:Format.err_formatter ~stem store)
+       (lazy key) ~label
+       ~places:(fun hex ->
+         let p = Lazy.force protos in
+         if hex = Flatten.subtree_hex p (Flatten.protos_root p) then
+           Lazy.force evals
+         else [])
+       ~note:(fun _ ->
+         Printf.sprintf "%d candidate evaluations"
+           (List.length (Lazy.force evals)))
+       protos base_cell);
   r
 
 let seed_arg =
@@ -1027,23 +947,16 @@ module Hcompact = Rsg_compact.Hcompact
 let hier_compact ?domains ~cache ~slack ~source cell =
   let rules = Rsg_compact.Rules.default in
   let rules_digest = Rsg_compact.Rules.digest rules in
-  let stem = "compact:" ^ source in
-  let st = Option.map Store.open_ cache in
-  let cached =
-    match st with
-    | Some s -> (
-      match Store.harvest s ~stem with
-      | Some (k, table) when Array.length table > 0 ->
-        Format.printf "cache: harvesting %s (%d prototypes)@." (Store.short k)
-          (Array.length table);
-        let h = proto_index table in
-        fun hex ->
-          Option.bind (Hashtbl.find_opt h hex) (fun (p : Codec.proto) ->
-              List.assoc_opt rules_digest p.Codec.p_compacts)
-      | _ -> fun _ -> None)
-    | None -> fun _ -> None
+  let run =
+    Store.Cached.start ~log:Format.std_formatter ~stem:("compact:" ^ source)
+      (Option.map Store.open_ cache)
   in
-  let r = Hcompact.hier ?domains ~distribute_slack:slack ~cached rules cell in
+  Store.Cached.harvest run;
+  let r =
+    Hcompact.hier ?domains ~distribute_slack:slack
+      ~cached:(Store.Cached.replay run (fun p -> p.Codec.p_compacts) rules_digest)
+      rules cell
+  in
   let s = r.Hcompact.hr_stats in
   Format.printf
     "hier: %d prototypes (%d reused), %d internal + %d stitch constraints@."
@@ -1052,37 +965,25 @@ let hier_compact ?domains ~cache ~slack ~source cell =
   Format.printf "hier: area %d -> %d (%d elements, %d clusters, %d rounds)@."
     s.Hcompact.hs_area_before s.Hcompact.hs_area_after s.Hcompact.hs_elements
     s.Hcompact.hs_clusters s.Hcompact.hs_rounds;
-  (match st with
-  | Some store ->
-    let by_hex = Hashtbl.create 32 in
-    List.iter
-      (fun (hex, pa, reused) -> Hashtbl.replace by_hex hex (pa, reused))
-      r.Hcompact.hr_artifacts;
-    let protos = Flatten.prototypes cell in
-    (* the key is content-addressed on the input geometry (root
-       subtree digest), not the file path — the path is the stem *)
-    let root_hex = Flatten.subtree_hex protos (Flatten.protos_root protos) in
-    let table =
-      Codec.proto_table protos
-        ~reused:(fun hex ->
-          match Hashtbl.find_opt by_hex hex with
-          | Some (_, reused) -> reused
-          | None -> false)
-        ~compacts:(fun hex ->
-          match Hashtbl.find_opt by_hex hex with
-          | Some (pa, _) -> [ (rules_digest, pa) ]
-          | None -> [])
-    in
-    let key =
-      Store.key ~deck:(Digest.to_hex rules_digest) ~design:root_hex
-        ~params:"hier-compact" ()
-    in
-    Store.save store key ~stem
-      ~label:("compact " ^ Filename.basename source)
-      ~protos:table cell;
-    Format.printf "cache: saved %s (%d prototypes)@." (Store.short key)
-      (Array.length table)
-  | None -> ());
+  let protos = lazy (Flatten.prototypes cell) in
+  ignore
+    (Store.Cached.save run
+       (* content-addressed on the input geometry (root subtree
+          digest), not the file path — the path is the stem *)
+       (lazy
+         (let p = Lazy.force protos in
+          Store.key ~deck:(Digest.to_hex rules_digest)
+            ~design:(Flatten.subtree_hex p (Flatten.protos_root p))
+            ~params:"hier-compact" ()))
+       ~label:("compact " ^ Filename.basename source)
+       ~reused:(fun hex ->
+         List.exists
+           (fun (h, _, reused) -> h = hex && reused)
+           r.Hcompact.hr_artifacts)
+       ~compacts:
+         (Store.Cached.by_hex rules_digest
+            (List.map (fun (h, pa, _) -> (h, pa)) r.Hcompact.hr_artifacts))
+       protos cell);
   r
 
 let compact path from_db out slack hier cache domains drc obs =
@@ -1313,7 +1214,7 @@ let place target blocks out stats seed iters chains strategy cache json domains
          \"seed\": %d, \"iters\": %d, \"chains\": %d, \
          \"initial_area\": %d, \"best_area\": %d, \"best\": \"%s\", \
          \"computed\": %d, \"cached\": %d}@."
-        (String.escaped target) blocks
+        (json_escape target) blocks
         (match strategy with `Greedy -> "greedy" | `Anneal -> "anneal")
         seed s.Anneal.st_iters s.Anneal.st_chains r.Anneal.r_initial_cost
         r.Anneal.r_cost
@@ -1396,60 +1297,32 @@ let erc target from_db cache json self_check vdd gnd max_fanout strict domains
       Format.eprintf "self-check failed: %s@." msg;
       exit 1
   else begin
+    let run =
+      Store.Cached.start ~log:Format.err_formatter ~stem:("erc:" ^ name)
+        (Option.map Store.open_ cache)
+    in
+    let protos = Flatten.prototypes cell in
+    let key =
+      Store.key
+        ~deck:("erc\x00" ^ Digest.to_hex cfg_digest)
+        ~scale:"1" ~design:design_id ~params:"" ()
+    in
     let r =
-      match cache with
-      | None -> Erc.check_cell ~cfg ?domains cell
-      | Some dir ->
-        let st = Store.open_ dir in
-        let stem = "erc:" ^ name in
-        let key =
-          Store.key
-            ~deck:("erc\x00" ^ Digest.to_hex cfg_digest)
-            ~scale:"1" ~design:design_id ~params:"" ()
-        in
-        let protos = Flatten.prototypes cell in
-        let cached_of table =
-          let h = proto_index table in
-          fun hex ->
-            Option.bind (Hashtbl.find_opt h hex) (fun (p : Codec.proto) ->
-                List.assoc_opt cfg_digest p.Codec.p_ercs)
-        in
-        (match Store.find st key with
-        | Store.Hit e ->
-          Format.eprintf "cache: hit %s@." (Store.short key);
+      Store.Cached.run run key ~redo:"rechecking"
+        ~compute:(fun _ ->
           Erc.check_protos ~cfg ?domains
-            ~cached:(cached_of e.Codec.e_protos)
-            protos
-        | other ->
-          (match other with
-          | Store.Corrupt err ->
-            Format.eprintf "cache: corrupt entry (%a), rechecking@."
-              Codec.pp_error err
-          | _ -> Format.eprintf "cache: miss %s@." (Store.short key));
-          let cached =
-            match Store.harvest st ~stem with
-            | Some (k, table) when Array.length table > 0 ->
-              Format.eprintf "cache: harvesting %s (%d prototypes)@."
-                (Store.short k) (Array.length table);
-              cached_of table
-            | _ -> fun _ -> None
-          in
-          let r = Erc.check_protos ~cfg ?domains ~cached protos in
-          let by_hex =
-            List.map
-              (fun (l : Erc.level) -> (l.Erc.l_hash, l.Erc.l_verdict))
-              r.Erc.r_levels
-          in
-          let ercs hex =
-            match List.assoc_opt hex by_hex with
-            | Some v -> [ (cfg_digest, v) ]
-            | None -> []
-          in
-          let table = Codec.proto_table protos ~ercs in
-          Store.save st key ~stem ~label:("erc " ^ name) ~protos:table cell;
-          Format.eprintf "cache: saved %s (%d prototypes)@." (Store.short key)
-            (Array.length table);
-          r)
+            ~cached:
+              (Store.Cached.replay run (fun p -> p.Codec.p_ercs) cfg_digest)
+            protos)
+        ~save:(fun r ->
+          ignore
+            (Store.Cached.save run (lazy key) ~label:("erc " ^ name)
+               ~ercs:
+                 (Store.Cached.by_hex cfg_digest
+                    (List.map
+                       (fun (l : Erc.level) -> (l.Erc.l_hash, l.Erc.l_verdict))
+                       r.Erc.r_levels))
+               (lazy protos) cell))
     in
     if json then print_endline (Erc.report_to_json r)
     else Format.printf "%a" Erc.pp_report r;

@@ -2,7 +2,6 @@ open Rsg_geom
 module Cell = Rsg_layout.Cell
 module Flatten = Rsg_layout.Flatten
 module Transform = Rsg_geom.Transform
-module Par = Rsg_par.Par
 module Obs = Rsg_obs.Obs
 
 (* ---- serialised constraint systems -------------------------------- *)
@@ -47,11 +46,10 @@ let pabs_constraints p =
 let packed_extent values = Array.fold_left max 0 values
 
 let condense rules (items : Scanline.item array) =
-  let gx = Scanline.generate ~obs:false rules Scanline.Visibility items in
+  let gx = Scanline.generate rules Scanline.Visibility items in
   let wmin = packed_extent (Bellman.solve gx.Scanline.graph).Bellman.values in
   let gy =
-    Scanline.generate ~obs:false rules Scanline.Visibility
-      (Scanline.transpose items)
+    Scanline.generate rules Scanline.Visibility (Scanline.transpose items)
   in
   let hmin = packed_extent (Bellman.solve gy.Scanline.graph).Bellman.values in
   { pa_wmin = wmin;
@@ -328,67 +326,36 @@ let hier ?domains ?(distribute_slack = false) ?(max_rounds = 8)
     ?(cached = fun _ -> None) rules root =
   Obs.span "hcompact" @@ fun () ->
   let protos = Flatten.prototypes root in
-  let order = Flatten.protos_order protos in
   (* ---- phase 1: one condensation per distinct subtree digest ------ *)
-  let seen = Hashtbl.create 32 in
-  let distinct =
-    List.filter
-      (fun c ->
-        let h = Flatten.subtree_hex protos c in
-        if Hashtbl.mem seen h then false
-        else begin
-          Hashtbl.add seen h ();
-          true
-        end)
+  let order = Array.of_list (Flatten.protos_order protos) in
+  let items =
+    Array.map
+      (fun c -> lazy (Scanline.items_of_flat (Flatten.proto_flat protos c)))
       order
   in
-  let entries =
-    (* (cell, hex, cache hit) — items for misses are materialised
-       sequentially: the prototype arrays are built through a shared
-       memo table that must not be raced by pool workers *)
-    List.map
-      (fun c ->
-        let hex = Flatten.subtree_hex protos c in
-        match cached hex with
-        | Some p -> (c, hex, Some p)
-        | None ->
-          ignore (Flatten.proto_flat protos c);
-          (c, hex, None))
-      distinct
-  in
-  let miss_items =
-    Array.of_list
-      (List.filter_map
-         (fun (c, _, hit) ->
-           match hit with
-           | Some _ -> None
-           | None -> Some (Scanline.items_of_flat (Flatten.proto_flat protos c)))
-         entries)
-  in
-  let condensed =
+  let results =
     Obs.span "hcompact.condense" (fun () ->
-        Par.map ?domains (condense rules) miss_items)
+        Flatten.cached_map ?domains ~cached
+          ~prepare:(fun i -> ignore (Lazy.force items.(i)))
+          ~compute:(fun i -> condense rules (Lazy.force items.(i)))
+          protos)
   in
-  Obs.count ~n:(Array.length miss_items) "hcompact.condensed";
-  let next_miss = ref 0 in
+  (* congruent celltypes share their representative's artifact *)
+  let rep = Flatten.representatives protos in
   let artifacts =
-    List.map
-      (fun (c, hex, hit) ->
-        match hit with
-        | Some p ->
-          Obs.count "hcompact.reused";
-          (c, hex, p, true)
-        | None ->
-          let p = condensed.(!next_miss) in
-          incr next_miss;
-          (c, hex, p, false))
-      entries
+    List.filter_map
+      (fun i ->
+        if rep.(i) <> i then None
+        else
+          let p, reused = results.(i) in
+          Some (order.(i), Flatten.subtree_hex protos order.(i), p, reused))
+      (List.init (Array.length order) Fun.id)
   in
-  let pabs_of_hex =
-    let tbl = Hashtbl.create 32 in
-    List.iter (fun (_, hex, p, _) -> Hashtbl.replace tbl hex p) artifacts;
-    Hashtbl.find tbl
+  let reused =
+    List.fold_left (fun a (_, _, _, r) -> if r then a + 1 else a) 0 artifacts
   in
+  Obs.count ~n:(List.length artifacts - reused) "hcompact.condensed";
+  if reused > 0 then Obs.count ~n:reused "hcompact.reused";
   (* ---- phase 2: stitch the effective root level ------------------- *)
   let horizon = Rules.max_spacing rules in
   let lvl = stitch_level root in
@@ -553,13 +520,8 @@ let hier ?domains ?(distribute_slack = false) ?(max_rounds = 8)
   let out = rebuild_chain root in
   let pitch =
     List.map
-      (fun (c, hex, _, _) ->
-        let p = pabs_of_hex hex in
-        (c.Cell.cname, p.pa_wmin, p.pa_hmin))
+      (fun (c, _, p, _) -> (c.Cell.cname, p.pa_wmin, p.pa_hmin))
       artifacts
-  in
-  let reused =
-    List.fold_left (fun a (_, _, _, r) -> if r then a + 1 else a) 0 artifacts
   in
   let internal =
     List.fold_left (fun a (_, _, p, _) -> a + pabs_constraints p) 0 artifacts

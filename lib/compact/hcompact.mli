@@ -11,9 +11,10 @@
        constraint graphs generated exactly once, in x and in y, and
        solved leftmost for its internal pitch bounds [wmin]/[hmin]
        (the per-prototype lambda values).  The per-prototype tasks fan
-       out across the {!Rsg_par.Par} domain pool; results merge in
-       prototype order, so the outcome is bit-identical at any domain
-       count.  Artifacts are returned to the caller for persisting in
+       out across the {!Rsg_par.Par} domain pool through
+       {!Rsg_layout.Flatten.cached_map}; results merge in prototype
+       order, so the outcome is bit-identical at any domain count.
+       Artifacts are returned to the caller for persisting in
        the store, keyed by subtree hash + rule deck
        ({!Rules.digest}), and previously cached artifacts are accepted
        back through [cached], which skips generation for warm
@@ -64,7 +65,8 @@ val pabs_constraints : pabs -> int
 
 val condense : Rules.t -> Scanline.item array -> pabs
 (** Generate and solve one prototype's internal constraint systems.
-    Safe to run on a pool worker (no {!Rsg_obs.Obs} spans). *)
+    Opens {!Scanline.generate}'s {!Rsg_obs.Obs} spans, so pool workers
+    run it under {!Rsg_obs.Obs.suspend}, as {!hier} does. *)
 
 type stats = {
   hs_protos : int;            (** distinct prototypes condensed *)

@@ -199,11 +199,7 @@ let items_of_flat (f : Rsg_layout.Flatten.flat) =
 
 let items_of_cell cell = items_of_flat (Rsg_layout.Flatten.flatten cell)
 
-let generate ?(obs = true) ?(stretchable = fun _ -> false) rules method_ items =
-  (* the span tree is single-domain; parallel callers (Hcompact's
-     prototype pool) pass ~obs:false and time themselves.  Counters
-     stay on — they are domain-safe. *)
-  let span name f = if obs then Obs.span name f else f () in
+let generate ?(stretchable = fun _ -> false) rules method_ items =
   let n = Array.length items in
   let g = Cgraph.create () in
   let left = Array.make n 0 and right = Array.make n 0 in
@@ -230,7 +226,7 @@ let generate ?(obs = true) ?(stretchable = fun _ -> false) rules method_ items =
     order;
   (match method_ with
   | Naive ->
-    span "scanline.pairs" (fun () ->
+    Obs.span "scanline.pairs" (fun () ->
         for oi = 0 to n - 1 do
           for oj = oi + 1 to n - 1 do
             let ia = order.(oi) and ib = order.(oj) in
@@ -240,8 +236,8 @@ let generate ?(obs = true) ?(stretchable = fun _ -> false) rules method_ items =
           done
         done)
   | Visibility ->
-    let nets = span "scanline.nets" (fun () -> nets_of rules items) in
-    span "scanline.pairs" (fun () ->
+    let nets = Obs.span "scanline.nets" (fun () -> nets_of rules items) in
+    Obs.span "scanline.pairs" (fun () ->
         for oi = 0 to n - 1 do
           for oj = oi + 1 to n - 1 do
             let ia = order.(oi) and ib = order.(oj) in

@@ -53,17 +53,10 @@ val nets_of : Rules.t -> item array -> int array
     connecting layers (net ids are representative item indices). *)
 
 val generate :
-  ?obs:bool ->
   ?stretchable:(int -> bool) -> Rules.t -> method_ -> item array -> gen
 (** Boxes for which [stretchable] is true (default: none) get a
     min-width inequality instead of a rigid width, enabling bus/device
-    sizing.  Every left edge is bounded below by the origin.
-
-    [obs] (default true) controls the {!Rsg_obs.Obs} spans around net
-    merging and pair generation; the span tree is single-domain, so
-    callers running [generate] on pool workers ({!Hcompact}) must pass
-    [~obs:false] and time themselves (counters are domain-safe and stay
-    on). *)
+    sizing.  Every left edge is bounded below by the origin. *)
 
 val items_of_cell : Rsg_layout.Cell.t -> item array
 (** Flatten a cell to scanline items (labels dropped). *)

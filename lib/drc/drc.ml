@@ -410,6 +410,12 @@ type hier_report = {
   h_cached : int;
 }
 
+let cached_of_level l =
+  { cl_violations = l.l_violations;
+    cl_contexts = l.l_contexts;
+    cl_distinct = l.l_distinct;
+    cl_boxes = l.l_boxes }
+
 let box_within (outer : Box.t) (b : Box.t) =
   b.Box.xmin >= outer.Box.xmin
   && b.Box.ymin >= outer.Box.ymin
@@ -475,9 +481,6 @@ let compare_violation a b =
    the hier-vs-flat agreement tests pin this empirically. *)
 let check_protos ?(deck = Deck.default) ?domains ?(cached = fun _ -> None)
     protos =
-  let domains =
-    match domains with Some d -> max 1 d | None -> Par.default_domains ()
-  in
   Obs.span "drc.hier" @@ fun () ->
   let halo = Deck.halo deck in
   let margin = 2 * halo in
@@ -491,27 +494,8 @@ let check_protos ?(deck = Deck.default) ?domains ?(cached = fun _ -> None)
   let flats = Array.map (fun c -> lazy (Flatten.proto_flat protos c)) order in
   let bboxes = Array.map (Flatten.cell_bbox protos) order in
   let hexes = Array.map (Flatten.subtree_hex protos) order in
-  (* physical-identity index of each distinct cell *)
-  let index : (string, (Cell.t * int) list) Hashtbl.t = Hashtbl.create 64 in
-  Array.iteri
-    (fun i (c : Cell.t) ->
-      let l = Option.value ~default:[] (Hashtbl.find_opt index c.Cell.cname) in
-      Hashtbl.replace index c.Cell.cname ((c, i) :: l))
-    order;
-  let idx_of (c : Cell.t) = List.assq c (Hashtbl.find index c.Cell.cname) in
-  (* whole-design placement count of each prototype; parents follow
-     children in postorder, so a downward sweep sees every parent's
-     final count before distributing it *)
-  let placements = Array.make n 0 in
-  placements.(root_idx) <- 1;
-  for i = n - 1 downto 0 do
-    if placements.(i) > 0 then
-      List.iter
-        (fun (inst : Cell.instance) ->
-          let j = idx_of inst.Cell.def in
-          placements.(j) <- placements.(j) + placements.(i))
-        (Cell.instances order.(i))
-  done;
+  let idx_of = Flatten.proto_index protos in
+  let placements = Flatten.placements protos in
   (* boundary bands: a prototype's boxes within [margin] of its bbox
      edge, local coordinates — the only part of a child a parent-level
      window ever needs *)
@@ -723,66 +707,37 @@ let check_protos ?(deck = Deck.default) ?domains ?(cached = fun _ -> None)
           match compare_violation a b with 0 -> compare ca cb | c -> c)
         (List.rev !violations)
     in
-    { l_cell = c.Cell.cname;
-      l_hash = hexes.(i);
-      l_placements = placements.(i);
-      l_violations = vs;
-      l_contexts = n_inst;
-      l_distinct = !distinct;
-      l_boxes = !boxes_checked;
-      l_cached = false }
+    { cl_violations = vs;
+      cl_contexts = n_inst;
+      cl_distinct = !distinct;
+      cl_boxes = !boxes_checked }
   in
-  let cached_levels =
-    Array.init n (fun i ->
-        match cached hexes.(i) with
-        | None -> None
-        | Some cl ->
-          Some
-            { l_cell = order.(i).Cell.cname;
-              l_hash = hexes.(i);
-              l_placements = placements.(i);
-              l_violations = cl.cl_violations;
-              l_contexts = cl.cl_contexts;
-              l_distinct = cl.cl_distinct;
-              l_boxes = cl.cl_boxes;
-              l_cached = true })
+  (* a fresh level reads its children's bands, or its own flat when no
+     child carries geometry *)
+  let prepare i =
+    match
+      List.filter
+        (fun j -> bboxes.(j) <> None)
+        (List.map
+           (fun (inst : Cell.instance) -> idx_of inst.Cell.def)
+           (Cell.instances order.(i)))
+    with
+    | [] -> ignore (Lazy.force flats.(i))
+    | kids -> List.iter (fun j -> ignore (Lazy.force bands.(j))) kids
   in
-  let todo =
-    Array.of_list
-      (List.filter
-         (fun i -> cached_levels.(i) = None)
-         (List.init n Fun.id))
-  in
-  (* force every flat and band a fresh level will touch on this
-     domain, before the fan-out: Lazy.force is not domain-safe, and
-     the computations are only independent once their inputs exist *)
-  Array.iter
-    (fun i ->
-      match Cell.instances order.(i) with
-      | [] -> ignore (Lazy.force flats.(i))
-      | insts ->
-        List.iter
-          (fun (inst : Cell.instance) ->
-            ignore (Lazy.force bands.(idx_of inst.Cell.def)))
-          insts)
-    todo;
-  (* the per-prototype computations are independent once the local
-     flats and bands exist (built above, on this domain); Obs is
-     process-global, so recording is suspended across the fan-out and
-     aggregates are counted after the join *)
-  let was_enabled = Obs.is_enabled () in
-  if was_enabled then Obs.disable ();
-  let computed =
-    Fun.protect
-      ~finally:(fun () -> if was_enabled then Obs.enable ())
-      (fun () ->
-        if domains = 1 || Array.length todo <= 1 then Array.map compute todo
-        else Par.chunked_map ~domains ~chunk:1 compute todo)
-  in
-  Array.iteri (fun k i -> cached_levels.(i) <- Some computed.(k)) todo;
   let levels =
-    List.init n (fun i ->
-        match cached_levels.(i) with Some l -> l | None -> assert false)
+    Array.to_list
+      (Array.mapi
+         (fun i (cl, replayed) ->
+           { l_cell = order.(i).Cell.cname;
+             l_hash = hexes.(i);
+             l_placements = placements.(i);
+             l_violations = cl.cl_violations;
+             l_contexts = cl.cl_contexts;
+             l_distinct = cl.cl_distinct;
+             l_boxes = cl.cl_boxes;
+             l_cached = replayed })
+         (Flatten.cached_map ?domains ~cached ~prepare ~compute protos))
   in
   let boxes = List.fold_left (fun a l -> a + if l.l_cached then 0 else l.l_boxes) 0 levels in
   let n_cached = List.fold_left (fun a l -> a + if l.l_cached then 1 else 0) 0 levels in

@@ -127,6 +127,9 @@ type hier_report = {
   h_cached : int;  (** levels replayed from the cache *)
 }
 
+val cached_of_level : level -> cached_level
+(** The part of a level that [cached] replays, as a store keeps it. *)
+
 val check_protos :
   ?deck:Deck.t ->
   ?domains:int ->
@@ -139,8 +142,9 @@ val check_protos :
     with the same deck — key cached levels by (subtree hash, deck
     digest)).  Dirty levels fan out across [domains] workers
     ({!Rsg_par.Par.default_domains} when omitted) with Obs recording
-    suspended; results are merged in postorder, so the report is
-    bit-identical for every domain count.  Counters:
+    suspended ({!Rsg_layout.Flatten.cached_map}); results are merged
+    in postorder, so the report is bit-identical for every domain
+    count.  Counters:
     [drc.hier.levels], [drc.hier.cached], [drc.hier.boxes],
     [drc.hier.violations]. *)
 

@@ -95,8 +95,8 @@ let bstr (b : Box.t) =
    leaf gate's driver routinely lives in a sibling personalisation
    mask deep inside the parent, so floating/undriven/short verdicts
    are only meaningful on the root's flat view. *)
-let verdict ~cfg ~rules ~domains ~adjudicate items labels =
-  let mn = Extract.mos_of_items ~rules ~domains items labels in
+let verdict ~cfg ~rules ?domains ~adjudicate items labels =
+  let mn = Extract.mos_of_items ~rules ?domains items labels in
   let n_items = Array.length mn.Extract.mn_items in
   let margin = Rules.max_spacing rules in
   (* per-net attribute tables, keyed by representative item index;
@@ -286,10 +286,7 @@ let verdict ~cfg ~rules ~domains ~adjudicate items labels =
           :: !out;
       List.rev !out
     in
-    let per_net =
-      if domains = 1 || Array.length reps <= 1 then Array.map classify reps
-      else Par.chunked_map ~domains ~chunk:64 classify reps
-    in
+    let per_net = Par.chunked_map ?domains ~chunk:64 classify reps in
     Array.iter (fun ds -> List.iter add ds) per_net;
     { census with cv_diags = List.sort Diag.compare_diag (List.rev !diags) }
   end
@@ -300,11 +297,8 @@ let verdict ~cfg ~rules ~domains ~adjudicate items labels =
 
 let check_items ?(cfg = default_config) ?(rules = Rules.default) ?domains items
     labels =
-  let domains =
-    match domains with Some d -> max 1 d | None -> Par.default_domains ()
-  in
   Obs.span "erc.flat" @@ fun () ->
-  let v = verdict ~cfg ~rules ~domains ~adjudicate:true items labels in
+  let v = verdict ~cfg ~rules ?domains ~adjudicate:true items labels in
   Obs.count ~n:(List.length v.cv_diags) "erc.diags";
   (v, Diag.report ~source:"erc" ~checked:v.cv_nets v.cv_diags)
 
@@ -312,89 +306,47 @@ let check_items ?(cfg = default_config) ?(rules = Rules.default) ?domains items
 (* Hierarchical checking with per-prototype cached verdicts           *)
 (* ------------------------------------------------------------------ *)
 
-(* Mirrors [Drc.check_protos]: one verdict per distinct celltype,
-   addressed by subtree hash so [cached] can replay it; placement
-   counts from a downward sweep over the postorder; the fresh
-   non-root computations fan out over the pool with Obs suspended.
+(* One verdict per distinct celltype through [Flatten.cached_map].
    Non-root verdicts are censuses (their diag lists are empty by
-   construction); the root — whose local flat is the whole design —
-   is adjudicated on the calling domain so its per-net classification
-   can itself fan out. *)
+   construction) and fan out over the pool.  The root — whose local
+   flat is the whole design — is adjudicated after the fan-out, on the
+   calling domain with Obs recording, so its per-net classification
+   can itself use the pool: [cached_map] only hands back a thunk for
+   it. *)
 let check_protos ?(cfg = default_config) ?(rules = Rules.default) ?domains
     ?(cached = fun _ -> None) protos =
-  let domains =
-    match domains with Some d -> max 1 d | None -> Par.default_domains ()
-  in
   Obs.span "erc.hier" @@ fun () ->
   let order = Array.of_list (Flatten.protos_order protos) in
   let n = Array.length order in
   let root_idx = n - 1 in
   let flats = Array.map (fun c -> lazy (Flatten.proto_flat protos c)) order in
   let hexes = Array.map (Flatten.subtree_hex protos) order in
-  (* physical-identity index of each distinct cell *)
-  let index : (string, (Cell.t * int) list) Hashtbl.t = Hashtbl.create 64 in
-  Array.iteri
-    (fun i (c : Cell.t) ->
-      let l = Option.value ~default:[] (Hashtbl.find_opt index c.Cell.cname) in
-      Hashtbl.replace index c.Cell.cname ((c, i) :: l))
-    order;
-  let idx_of (c : Cell.t) = List.assq c (Hashtbl.find index c.Cell.cname) in
-  let placements = Array.make n 0 in
-  placements.(root_idx) <- 1;
-  for i = n - 1 downto 0 do
-    if placements.(i) > 0 then
-      List.iter
-        (fun (inst : Cell.instance) ->
-          let j = idx_of inst.Cell.def in
-          placements.(j) <- placements.(j) + placements.(i))
-        (Cell.instances order.(i))
-  done;
-  let verdicts : (cached_verdict * bool) option array =
-    Array.init n (fun i ->
-        match cached hexes.(i) with
-        | Some cv -> Some (cv, true)
-        | None -> None)
-  in
-  let todo = List.filter (fun i -> verdicts.(i) = None) (List.init n Fun.id) in
-  let todo_rest =
-    Array.of_list (List.filter (fun i -> i <> root_idx) todo)
-  in
-  let todo_root = List.mem root_idx todo in
-  (* force every flat a fresh level needs on this domain before the
-     fan-out: Lazy.force is not domain-safe *)
-  Array.iter (fun i -> ignore (Lazy.force flats.(i))) todo_rest;
-  let compute ~domains ~adjudicate i =
+  let placements = Flatten.placements protos in
+  let compute ?domains ~adjudicate i =
     let f = Lazy.force flats.(i) in
-    verdict ~cfg ~rules ~domains ~adjudicate
+    verdict ~cfg ~rules ?domains ~adjudicate
       (Scanline.items_of_flat f)
       (Array.to_list f.Flatten.flat_labels)
   in
-  (* Obs is process-global: suspend recording across the fan-out *)
-  let was_enabled = Obs.is_enabled () in
-  if was_enabled then Obs.disable ();
-  let computed =
-    Fun.protect
-      ~finally:(fun () -> if was_enabled then Obs.enable ())
-      (fun () ->
-        let f = compute ~domains:1 ~adjudicate:false in
-        if domains = 1 || Array.length todo_rest <= 1 then
-          Array.map f todo_rest
-        else Par.chunked_map ~domains ~chunk:1 f todo_rest)
+  let verdicts =
+    Flatten.cached_map ?domains
+      ~cached:(fun hex -> Option.map Lazy.from_val (cached hex))
+      ~prepare:(fun i -> if i <> root_idx then ignore (Lazy.force flats.(i)))
+      ~compute:(fun i ->
+        if i = root_idx then lazy (compute ?domains ~adjudicate:true i)
+        else Lazy.from_val (compute ~domains:1 ~adjudicate:false i))
+      protos
   in
-  Array.iteri (fun k i -> verdicts.(i) <- Some (computed.(k), false)) todo_rest;
-  if todo_root then
-    verdicts.(root_idx) <-
-      Some (compute ~domains ~adjudicate:true root_idx, false);
   let levels =
-    List.init n (fun i ->
-        match verdicts.(i) with
-        | Some (cv, was_cached) ->
-          { l_cell = order.(i).Cell.cname;
-            l_hash = hexes.(i);
-            l_placements = placements.(i);
-            l_verdict = cv;
-            l_cached = was_cached }
-        | None -> assert false)
+    Array.to_list
+      (Array.mapi
+         (fun i (cv, replayed) ->
+           { l_cell = order.(i).Cell.cname;
+             l_hash = hexes.(i);
+             l_placements = placements.(i);
+             l_verdict = Lazy.force cv;
+             l_cached = replayed })
+         verdicts)
   in
   let n_cached =
     List.fold_left (fun a l -> a + if l.l_cached then 1 else 0) 0 levels
@@ -529,17 +481,14 @@ let probe_sites items =
 
 let self_check ?(cfg = default_config) ?(rules = Rules.default) ?domains items
     labels =
-  let domains =
-    match domains with Some d -> max 1 d | None -> Par.default_domains ()
-  in
   Obs.span "erc.self_check" @@ fun () ->
-  let base = verdict ~cfg ~rules ~domains ~adjudicate:true items labels in
+  let base = verdict ~cfg ~rules ?domains ~adjudicate:true items labels in
   let base_counts = count_codes base.cv_diags in
   let try_site strip =
     let mutated =
       Array.append items [| { Scanline.layer = Layer.Poly; box = strip } |]
     in
-    let v = verdict ~cfg ~rules ~domains ~adjudicate:true mutated labels in
+    let v = verdict ~cfg ~rules ?domains ~adjudicate:true mutated labels in
     let counts = count_codes v.cv_diags in
     let codes =
       List.sort_uniq String.compare

@@ -48,7 +48,7 @@ let lower_bound keys x =
    quadratic product.  The per-poly scans are independent, so they fan
    out across domains; results come back in poly order regardless of
    scheduling. *)
-let gate_regions ~domains (items : Scanline.item array) nets =
+let gate_regions ?domains (items : Scanline.item array) nets =
   let n = Array.length items in
   let layer_indices l =
     let buf = ref [] in
@@ -91,7 +91,7 @@ let gate_regions ~domains (items : Scanline.item array) nets =
     done;
     List.rev !out
   in
-  let per_poly = Par.chunked_map ~domains ~chunk:16 gates_of_poly polys in
+  let per_poly = Par.chunked_map ?domains ~chunk:16 gates_of_poly polys in
   let gates = Array.of_list (List.concat (Array.to_list per_poly)) in
   (* merge touching gate regions of the same gate net, via the shared
      plane sweep instead of the old all-pairs loop *)
@@ -110,9 +110,6 @@ let gate_regions ~domains (items : Scanline.item array) nets =
   (gates, Array.init (Array.length gates) find)
 
 let of_items ?(rules = Rsg_compact.Rules.default) ?domains items labels =
-  let domains =
-    match domains with Some d -> max 1 d | None -> Par.default_domains ()
-  in
   let nets = Obs.span "extract.nets" @@ fun () -> Scanline.nets_of rules items in
   let n = Array.length items in
   (* count distinct nets over conductor items only *)
@@ -123,7 +120,7 @@ let of_items ?(rules = Rsg_compact.Rules.default) ?domains items labels =
   done;
   let devices =
     Obs.span "extract.devices" @@ fun () ->
-    let gates, classes = gate_regions ~domains items nets in
+    let gates, classes = gate_regions ?domains items nets in
     let tbl = Hashtbl.create 16 in
     let order = ref [] in
     Array.iteri
@@ -151,7 +148,7 @@ let of_items ?(rules = Rsg_compact.Rules.default) ?domains items labels =
       in
       go 0
     in
-    Array.to_list (Par.map ~domains hunt (Array.of_list labels))
+    Array.to_list (Par.map ?domains hunt (Array.of_list labels))
     |> List.filter_map Fun.id
   in
   Obs.count ~n:(List.length devices) "extract.devices";
@@ -207,12 +204,9 @@ let side_touch (f : Box.t) (r : Box.t) =
   else None
 
 let mos_of_items ?(rules = Rsg_compact.Rules.default) ?domains items labels =
-  let domains =
-    match domains with Some d -> max 1 d | None -> Par.default_domains ()
-  in
   Obs.span "extract.mos" @@ fun () ->
   let nets0 = Scanline.nets_of rules items in
-  let gates, classes = gate_regions ~domains items nets0 in
+  let gates, classes = gate_regions ?domains items nets0 in
   let ng = Array.length gates in
   (* gate rects per diffusion item, in raw gate order *)
   let cuts_of_diff : (int, Box.t list) Hashtbl.t = Hashtbl.create 16 in
@@ -321,7 +315,7 @@ let mos_of_items ?(rules = Rsg_compact.Rules.default) ?domains items labels =
       in
       go 0
     in
-    Array.to_list (Par.map ~domains hunt (Array.of_list labels))
+    Array.to_list (Par.map ?domains hunt (Array.of_list labels))
   in
   let mn_terminals =
     List.filter_map

@@ -415,6 +415,67 @@ let proto_flat p c =
 
 let cell_bbox p c = (Idmap.find p.pt_summaries c).s_bbox
 
+let proto_index p c = Idmap.find (pids_of p) c
+
+(* Parents follow children in postorder, so a downward sweep sees every
+   parent's final count before distributing it. *)
+let placements p =
+  let order = Array.of_list p.pt_order in
+  let n = Array.length order in
+  let counts = Array.make n 0 in
+  counts.(n - 1) <- 1;
+  for i = n - 1 downto 0 do
+    if counts.(i) > 0 then
+      List.iter
+        (fun (inst : Cell.instance) ->
+          let j = proto_index p inst.Cell.def in
+          counts.(j) <- counts.(j) + counts.(i))
+        (Cell.instances order.(i))
+  done;
+  counts
+
+let representatives p =
+  let hashes = hashes_of p in
+  let first = Hashtbl.create 64 in
+  Array.mapi
+    (fun i c ->
+      let h = Idmap.find hashes c in
+      match Hashtbl.find_opt first h with
+      | Some j -> j
+      | None ->
+        Hashtbl.add first h i;
+        i)
+    (Array.of_list p.pt_order)
+
+let cached_map ?domains ~cached ~prepare ~compute p =
+  let order = Array.of_list p.pt_order in
+  (* built here, on the calling domain: [compute] may look cells up *)
+  ignore (pids_of p);
+  let rep = representatives p in
+  let results =
+    Array.mapi
+      (fun i c ->
+        if rep.(i) <> i then None
+        else Option.map (fun r -> (r, true)) (cached (subtree_hex p c)))
+      order
+  in
+  let misses =
+    Array.of_list
+      (List.filter
+         (fun i -> rep.(i) = i && results.(i) = None)
+         (List.init (Array.length order) Fun.id))
+  in
+  (* Lazy.force is not domain-safe: every lazy input a computation
+     reads is forced here, before the fan-out *)
+  Array.iter prepare misses;
+  (* the span tree is single-domain, so the fan-out does not record *)
+  let computed =
+    Rsg_obs.Obs.suspend (fun () ->
+        Rsg_par.Par.chunked_map ?domains ~chunk:1 compute misses)
+  in
+  Array.iteri (fun k i -> results.(i) <- Some (computed.(k), false)) misses;
+  Array.map (fun j -> Option.get results.(j)) rep
+
 let protos_stats p =
   let s = Idmap.find p.pt_summaries p.pt_root in
   { n_boxes = s.s_boxes;

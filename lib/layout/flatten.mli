@@ -98,6 +98,42 @@ val cell_bbox : protos -> Cell.t -> Box.t option
 (** Local-coordinate bounding box of a distinct celltype's flattened
     geometry, from the summaries — no geometry is materialised. *)
 
+val proto_index : protos -> Cell.t -> int
+(** Position of a distinct celltype in {!protos_order} (cells are
+    identified physically).  Raises [Not_found] for a cell outside the
+    hierarchy. *)
+
+val placements : protos -> int array
+(** How often each distinct celltype occurs in the whole design,
+    indexed like {!protos_order}; the root's count is 1. *)
+
+(** {1 Per-prototype passes} *)
+
+val representatives : protos -> int array
+(** Per index of {!protos_order}, the first index whose celltype has
+    the same subtree digest: the one celltype that answers for all
+    congruent ones. *)
+
+val cached_map :
+  ?domains:int ->
+  cached:(string -> 'a option) ->
+  prepare:(int -> unit) ->
+  compute:(int -> 'a) ->
+  protos ->
+  ('a * bool) array
+(** Runs every per-prototype pass (hierarchical DRC, ERC verdicts,
+    compaction condensation).  Per index [i] of
+    {!protos_order}, the result holds the pass's value and whether it
+    was replayed.  Each distinct subtree digest is looked up once in
+    [cached] (by {!subtree_hex}) and, on a miss, computed once, for
+    its {!representatives} index: [compute i] must depend on the
+    celltype's content only, never its name.  [prepare i] runs for
+    every miss on the calling domain — force there the lazy inputs
+    [compute i] reads, since [Lazy.force] is not domain-safe — then
+    the misses are computed in one {!Rsg_par.Par.chunked_map} over
+    [domains] under {!Rsg_obs.Obs.suspend} and merged in postorder,
+    so results are identical for every domain count. *)
+
 (** {1 Subtree content hashing}
 
     Every distinct celltype gets a digest of its full geometric

@@ -12,6 +12,11 @@ type node = {
 
 let enabled = ref false
 
+(* Set while a domain runs [suspend]ed work.  Domains spawned meanwhile
+   (a Par fan-out) start with their parent's value, so the pause covers
+   exactly one call tree and never another domain's recording. *)
+let suspended = Domain.DLS.new_key ~split_from_parent:Fun.id (fun () -> false)
+
 let mk_root () = { name = "<root>"; total = 0.; count = 0; children = [] }
 
 let root = ref (mk_root ())
@@ -36,7 +41,13 @@ let enable () = enabled := true
 
 let disable () = enabled := false
 
-let is_enabled () = !enabled
+(* the disabled fast path still reads one ref *)
+let is_enabled () = !enabled && not (Domain.DLS.get suspended)
+
+let suspend f =
+  let was = Domain.DLS.get suspended in
+  Domain.DLS.set suspended true;
+  Fun.protect ~finally:(fun () -> Domain.DLS.set suspended was) f
 
 let reset () =
   root := mk_root ();
@@ -44,7 +55,7 @@ let reset () =
   locked (fun () -> Hashtbl.reset table)
 
 let count ?(n = 1) name =
-  if !enabled then
+  if is_enabled () then
     locked (fun () ->
         Hashtbl.replace table name
           (n + Option.value ~default:0 (Hashtbl.find_opt table name)))
@@ -58,7 +69,7 @@ let child_named parent name =
     c
 
 let span name f =
-  if not !enabled then f ()
+  if not (is_enabled ()) then f ()
   else begin
     let parent = match !stack with [] -> !root | p :: _ -> p in
     let node = child_named parent name in
@@ -75,7 +86,7 @@ let span name f =
   end
 
 let record ?(count = 1) name seconds =
-  if !enabled then begin
+  if is_enabled () then begin
     let parent = match !stack with [] -> !root | p :: _ -> p in
     let node = child_named parent name in
     node.count <- node.count + count;

@@ -26,6 +26,14 @@ val enable : unit -> unit
 val disable : unit -> unit
 
 val is_enabled : unit -> bool
+(** Recording is on and the calling domain is not inside {!suspend}. *)
+
+val suspend : (unit -> 'a) -> 'a
+(** [suspend f] runs [f ()] with recording off on the calling domain
+    and on every domain spawned while it runs (a {!Rsg_par.Par}
+    fan-out); other domains keep recording.  Work that fans out from a
+    domain other than the span tree's owner runs under it, because the
+    span tree must only be touched from one domain. *)
 
 val reset : unit -> unit
 (** Drop all recorded spans and counters; recording state unchanged. *)

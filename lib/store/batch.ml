@@ -66,28 +66,20 @@ let run_one store job =
   }
 
 let run ?domains ?store jobs =
-  let domains =
-    match domains with Some d -> d | None -> Par.default_domains ()
-  in
   let arr = Array.of_list jobs in
-  (* Workers must not touch the process-global Obs state: suspend
-     recording for the parallel section and replay per-job timings
-     from this domain after the join. *)
-  let was_enabled = Obs.is_enabled () in
-  if was_enabled then Obs.disable ();
+  (* Workers must not touch the span tree: recording is suspended for
+     the parallel section and per-job timings are replayed from this
+     domain after the join. *)
   let results =
-    Fun.protect
-      ~finally:(fun () -> if was_enabled then Obs.enable ())
-      (fun () -> Par.chunked_map ~domains ~chunk:1 (run_one store) arr)
+    Obs.suspend (fun () -> Par.chunked_map ?domains ~chunk:1 (run_one store) arr)
   in
-  if was_enabled then
-    Array.iter
-      (fun r ->
-        Obs.record ("batch." ^ r.r_job.j_name) r.r_seconds;
-        match r.r_outcome with
-        | Hit -> Obs.count "batch.hit"
-        | Generated -> Obs.count "batch.miss"
-        | Regenerated _ -> Obs.count "batch.corrupt"
-        | Failed _ -> Obs.count "batch.failed")
-      results;
+  Array.iter
+    (fun r ->
+      Obs.record ("batch." ^ r.r_job.j_name) r.r_seconds;
+      match r.r_outcome with
+      | Hit -> Obs.count "batch.hit"
+      | Generated -> Obs.count "batch.miss"
+      | Regenerated _ -> Obs.count "batch.corrupt"
+      | Failed _ -> Obs.count "batch.failed")
+    results;
   Array.to_list results

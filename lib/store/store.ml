@@ -189,6 +189,83 @@ let harvest t ~stem =
               None)
       | exception Sys_error _ -> None)
 
+(* ---- cached per-prototype runs ------------------------------------- *)
+
+module Cached = struct
+  type store = t
+
+  type t = {
+    store : store option;
+    log : Format.formatter;
+    stem : string;
+    prior : (string, Codec.proto) Hashtbl.t;  (* records by subtree hex *)
+  }
+
+  let start ~log ~stem store = { store; log; stem; prior = Hashtbl.create 64 }
+
+  let adopt r table =
+    Array.iter
+      (fun (p : Codec.proto) ->
+        Hashtbl.replace r.prior (Digest.to_hex p.Codec.p_hash) p)
+      table
+
+  let harvest r =
+    match r.store with
+    | None -> ()
+    | Some s -> (
+      match harvest s ~stem:r.stem with
+      | Some (k, table) when Array.length table > 0 ->
+        Format.fprintf r.log "cache: harvesting %s (%d prototypes)@." (short k)
+          (Array.length table);
+        adopt r table
+      | _ -> ())
+
+  let replay r field digest hex =
+    Option.bind (Hashtbl.find_opt r.prior hex) (fun p ->
+        List.assoc_opt digest (field p))
+
+  let adopted r hex = Hashtbl.mem r.prior hex
+
+  let by_hex digest results hex =
+    match List.assoc_opt hex results with
+    | Some a -> [ (digest, a) ]
+    | None -> []
+
+  let save r k ~label ?flat ?reused ?reports ?compacts ?ercs ?places
+      ?(note = fun table -> Printf.sprintf "%d prototypes" (Array.length table))
+      protos cell =
+    match r.store with
+    | None -> [||]
+    | Some s ->
+      let k = Lazy.force k in
+      let table =
+        Codec.proto_table ?reused ?reports ?compacts ?ercs ?places
+          (Lazy.force protos)
+      in
+      save s k ~stem:r.stem ~label ?flat:(Option.map Lazy.force flat)
+        ~protos:table cell;
+      Format.fprintf r.log "cache: saved %s (%s)@." (short k) (note table);
+      table
+
+  let run r k ~redo ~compute ~save =
+    match Option.map (fun s -> find s k) r.store with
+    | Some (Hit e) ->
+      Format.fprintf r.log "cache: hit %s@." (short k);
+      adopt r e.Codec.e_protos;
+      compute (Some e)
+    | lookup ->
+      (match lookup with
+      | Some Miss -> Format.fprintf r.log "cache: miss %s@." (short k)
+      | Some (Corrupt err) ->
+        Format.fprintf r.log "cache: corrupt entry (%a), %s@." Codec.pp_error
+          err redo
+      | _ -> ());
+      harvest r;
+      let v = compute None in
+      if Option.is_some r.store then save v;
+      v
+end
+
 (* ---- listing, stats, maintenance --------------------------------- *)
 
 type entry_stat = {

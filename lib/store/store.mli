@@ -123,6 +123,74 @@ val harvest : t -> stem:string -> (key * Codec.proto array) option
 
 val path_of : t -> key -> string
 
+(** One cached run of per-prototype passes: the single copy of the
+    find-or-harvest → replay → save protocol every [--cache] command
+    follows.  A run's {e prior} records — the key's own entry on a
+    hit, the stem's previous entry ({!harvest}) on a miss — are
+    indexed by subtree hex; passes replay from them and compute the
+    rest through {!Rsg_layout.Flatten.cached_map}.  Every step prints
+    its [cache:] line to [log].  Without a store nothing is found,
+    replayed or saved, and nothing is printed. *)
+module Cached : sig
+  type store := t
+
+  type t
+
+  val start : log:Format.formatter -> stem:string -> store option -> t
+  (** [stem] names the design independently of its content, as in
+      {!save}. *)
+
+  val run :
+    t ->
+    key ->
+    redo:string ->
+    compute:(Codec.entry option -> 'a) ->
+    save:('a -> unit) ->
+    'a
+  (** Look the key up ({!find}), printing [cache: hit], [cache: miss]
+      or [cache: corrupt entry (...), <redo>].  A hit is
+      [compute (Some entry)], replaying from the entry's own records.
+      Otherwise {!harvest}, [compute None], and [save] the result when
+      there is a store. *)
+
+  val harvest : t -> unit
+  (** Adopt the stem's previous entry ({!harvest}) as the prior,
+      printing [cache: harvesting] when it has records.  Only for a
+      command that never looks its key up. *)
+
+  val replay :
+    t -> (Codec.proto -> (string * 'a) list) -> string -> string -> 'a option
+  (** [replay r field digest hex] is the artifact the prior record of
+      prototype [hex] holds in [field] under the pass's [digest]. *)
+
+  val adopted : t -> string -> bool
+  (** The prior holds a record for this subtree hex. *)
+
+  val by_hex : string -> (string * 'a) list -> string -> (string * 'a) list
+  (** [by_hex digest results] is the record field {!save} stores for
+      a pass whose [results] pair subtree hexes with artifacts. *)
+
+  val save :
+    t ->
+    key Lazy.t ->
+    label:string ->
+    ?flat:Flatten.flat Lazy.t ->
+    ?reused:(string -> bool) ->
+    ?reports:(string -> (string * Rsg_drc.Drc.cached_level) list) ->
+    ?compacts:(string -> (string * Rsg_compact.Hcompact.pabs) list) ->
+    ?ercs:(string -> (string * Rsg_erc.Erc.cached_verdict) list) ->
+    ?places:(string -> (string * int) list) ->
+    ?note:(Codec.proto array -> string) ->
+    Flatten.protos Lazy.t ->
+    Cell.t ->
+    Codec.proto array
+  (** Build the prototype table ({!Codec.proto_table}), install the
+      entry under the run's stem ({!save}) and print
+      [cache: saved <key> (<note>)] ([note] defaults to the record
+      count).  Nothing is forced or called without a store; the
+      result is the table ([[||]] without a store). *)
+end
+
 type entry_stat = {
   es_key : string;
   es_label : string;

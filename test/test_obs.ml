@@ -92,6 +92,38 @@ let test_reset_clears () =
     (Obs.counters ());
   Alcotest.(check int) "spans gone" 0 (List.length (Obs.spans ()))
 
+(* A suspension belongs to one domain and the domains it spawns: while
+   a worker runs suspended, the main domain keeps recording. *)
+let test_suspend_is_domain_local () =
+  fresh ();
+  let entered = Atomic.make false and release = Atomic.make false in
+  let worker =
+    Domain.spawn (fun () ->
+        Obs.suspend (fun () ->
+            Obs.count "suspended";
+            Domain.join (Domain.spawn (fun () -> Obs.count "suspended"));
+            Atomic.set entered true;
+            while not (Atomic.get release) do
+              Domain.cpu_relax ()
+            done);
+        Obs.count "worker")
+  in
+  while not (Atomic.get entered) do
+    Domain.cpu_relax ()
+  done;
+  Alcotest.(check bool) "main still records" true (Obs.is_enabled ());
+  Obs.count "main";
+  Obs.span "main span" (fun () -> ());
+  Atomic.set release true;
+  Domain.join worker;
+  Obs.disable ();
+  Alcotest.(check (list (pair string int)))
+    "only unsuspended counts"
+    [ ("main", 1); ("worker", 1) ]
+    (Obs.counters ());
+  Alcotest.(check (list string)) "main span kept" [ "main span" ]
+    (List.map (fun s -> s.Obs.sp_name) (Obs.spans ()))
+
 let () =
   Alcotest.run "rsg_obs"
     [ ("obs",
@@ -105,4 +137,6 @@ let () =
            test_span_survives_raise;
          Alcotest.test_case "json rendering" `Quick
            test_json_mentions_everything;
-         Alcotest.test_case "reset clears" `Quick test_reset_clears ]) ]
+         Alcotest.test_case "reset clears" `Quick test_reset_clears;
+         Alcotest.test_case "suspend is domain-local" `Quick
+           test_suspend_is_domain_local ]) ]

@@ -195,6 +195,32 @@ let test_place_domain_identity () =
   Alcotest.(check string) "cif 1=2" (cif r1) (cif r2);
   Alcotest.(check string) "cif 1=4" (cif r1) (cif r4)
 
+(* Every candidate's condensation runs with Obs suspended, on its own
+   chain's domain only: a count made on any domain while chains anneal
+   side by side is kept. *)
+let test_chains_keep_obs_counts () =
+  let module Obs = Rsg_obs.Obs in
+  Obs.reset ();
+  Obs.enable ();
+  let lookups = Atomic.make 0 in
+  let cached _ =
+    Atomic.incr lookups;
+    Obs.count "test.lookup";
+    None
+  in
+  let r =
+    Anneal.run ~domains:2 ~cached ~chains:2 ~iters:20 ~seed:9
+      Place_opt.problem
+      (Place_opt.make ~rules (List.init 3 (fun _ -> tall_block ())))
+  in
+  let counted = List.assoc_opt "test.lookup" (Obs.counters ()) in
+  Obs.disable ();
+  Obs.reset ();
+  Alcotest.(check bool) "chains computed" true
+    (r.Anneal.r_stats.Anneal.st_computed > 0);
+  Alcotest.(check (option int)) "every lookup counted"
+    (Some (Atomic.get lookups)) counted
+
 let () =
   Alcotest.run "search"
     [
@@ -216,5 +242,7 @@ let () =
             test_place_improves_row;
           Alcotest.test_case "place: fixed seed identical at domains 1/2/4"
             `Quick test_place_domain_identity;
+          Alcotest.test_case "place: chains keep Obs counts" `Quick
+            test_chains_keep_obs_counts;
         ] );
     ]

@@ -300,14 +300,7 @@ let deck_digest = Deck.digest Deck.default
 let reports_of_hier (r : Drc.hier_report) =
   let by_hex =
     List.map
-      (fun (l : Drc.level) ->
-        ( l.Drc.l_hash,
-          {
-            Drc.cl_violations = l.Drc.l_violations;
-            cl_contexts = l.Drc.l_contexts;
-            cl_distinct = l.Drc.l_distinct;
-            cl_boxes = l.Drc.l_boxes;
-          } ))
+      (fun (l : Drc.level) -> (l.Drc.l_hash, Drc.cached_of_level l))
       r.Drc.h_levels
   in
   fun hex ->
@@ -1003,6 +996,265 @@ let qcheck_edit_dirtiness =
 
 (* ---- batch ----------------------------------------------------------- *)
 
+(* ---- cached runs (Store.Cached) ------------------------------------- *)
+
+module Erc = Rsg_erc.Erc
+module Hcompact = Rsg_compact.Hcompact
+module Anneal = Rsg_search.Anneal
+
+(* Give the first leaf celltype carrying boxes a copy of its first box:
+   the geometry's union is unchanged, but the leaf's digest and its
+   ancestors' change.  Returns the edited leaf. *)
+let edit_leaf cell =
+  let leaf =
+    List.find
+      (fun c -> Cell.instances c = [] && Cell.boxes c <> [])
+      (Flatten.protos_order (Flatten.prototypes cell))
+  in
+  let l, b = List.hd (Cell.boxes leaf) in
+  Cell.add_box leaf l b;
+  leaf
+
+(* hexes of the prototypes on the dirty chain: the edited leaf and every
+   celltype instantiating it, directly or not *)
+let dirty_hexes leaf cell =
+  let protos = Flatten.prototypes cell in
+  let rec reaches (c : Cell.t) =
+    c == leaf
+    || List.exists (fun (i : Cell.instance) -> reaches i.Cell.def) (Cell.instances c)
+  in
+  List.filter_map
+    (fun (c, hex) -> if reaches c then Some hex else None)
+    (Flatten.subtree_hashes protos)
+
+(* One run through the helper, as the CLI drives it: a hit replays from
+   the key's own entry and saves nothing; a miss harvests the stem,
+   computes and saves.  Returns the result and the cache lines. *)
+let cached_run store ~stem key ~compute ~save =
+  let buf = Buffer.create 256 in
+  let log = Format.formatter_of_buffer buf in
+  let run = Store.Cached.start ~log ~stem (Some store) in
+  let r =
+    Store.Cached.run run key ~redo:"recomputing"
+      ~compute:(fun _ -> compute run)
+      ~save:(save run key)
+  in
+  Format.pp_print_flush log ();
+  (r, Buffer.contents buf)
+
+let has_line log prefix =
+  List.exists
+    (fun l -> String.length l >= String.length prefix && String.sub l 0 (String.length prefix) = prefix)
+    (String.split_on_char '\n' log)
+
+(* The protocol every artifact kind must follow: a cold run saves, an
+   edit of one leaf harvests the stem and replays exactly the
+   prototypes off the dirty chain, an unchanged rerun computes nothing,
+   and every result equals the uncached call.  [replayed design r]
+   lists (subtree hex, replayed) per prototype; [canon] renders a
+   result without its replay bookkeeping. *)
+let check_protocol ~name ~make ~compute ~save ~uncached ~replayed ~canon =
+  let st = Store.open_ (temp_dir ()) in
+  let stem = "proto-test:" ^ name in
+  let key_a = Store.key ~design:(name ^ " a") ~params:"" () in
+  let key_b = Store.key ~design:(name ^ " b") ~params:"" () in
+  let same what cell r =
+    Alcotest.(check string) (name ^ ": " ^ what ^ " equals uncached")
+      (canon (uncached cell)) (canon r)
+  in
+  let cell_a = make () in
+  let r, log = cached_run st ~stem key_a ~compute:(compute cell_a) ~save:(save cell_a) in
+  Alcotest.(check bool) (name ^ ": cold run saves") true (has_line log "cache: saved");
+  Alcotest.(check bool) (name ^ ": cold run harvests nothing") false
+    (has_line log "cache: harvesting");
+  Alcotest.(check bool) (name ^ ": cold run replays nothing") true
+    (List.for_all (fun (_, rp) -> not rp) (replayed cell_a r));
+  (match Store.find st key_a with
+  | Store.Hit _ -> ()
+  | _ -> Alcotest.fail (name ^ ": cold entry not found"));
+  same "cold" cell_a r;
+  let cell_b = make () in
+  let leaf = edit_leaf cell_b in
+  let dirty = dirty_hexes leaf cell_b in
+  let r, log = cached_run st ~stem key_b ~compute:(compute cell_b) ~save:(save cell_b) in
+  Alcotest.(check bool) (name ^ ": edit harvests the stem") true
+    (has_line log "cache: harvesting");
+  List.iter
+    (fun (hex, rp) ->
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: %s replayed iff off the dirty chain" name hex)
+        (not (List.mem hex dirty)) rp)
+    (replayed cell_b r);
+  same "edit" cell_b r;
+  let r, log = cached_run st ~stem key_b ~compute:(compute cell_b) ~save:(save cell_b) in
+  Alcotest.(check bool) (name ^ ": rerun hits") true (has_line log "cache: hit");
+  Alcotest.(check bool) (name ^ ": rerun saves nothing") false (has_line log "cache: saved");
+  Alcotest.(check bool) (name ^ ": rerun computes nothing") true
+    (List.for_all snd (replayed cell_b r));
+  same "rerun" cell_b r;
+  ignore (Store.clear st)
+
+let pla_cell () = (Rsg_pla.Gen.generate (pla_tt ())).Rsg_pla.Gen.cell
+
+let test_cached_drc () =
+  check_protocol ~name:"drc" ~make:pla_cell
+    ~compute:(fun cell run ->
+      Drc.check_protos ~domains:2
+        ~cached:(Store.Cached.replay run (fun p -> p.Codec.p_reports) deck_digest)
+        (Flatten.prototypes cell))
+    ~save:(fun cell run key r ->
+      ignore
+        (Store.Cached.save run (lazy key)
+           ~label:"drc" ~reports:(reports_of_hier r) (lazy (Flatten.prototypes cell)) cell))
+    ~uncached:(fun cell -> Drc.check_protos ~domains:1 (Flatten.prototypes cell))
+    ~replayed:(fun _ r ->
+      List.map (fun (l : Drc.level) -> (l.Drc.l_hash, l.Drc.l_cached)) r.Drc.h_levels)
+    ~canon:(fun r ->
+      Marshal.to_string
+        (List.map
+           (fun (l : Drc.level) -> { l with Drc.l_cached = false })
+           r.Drc.h_levels)
+        [])
+
+let erc_digest = Erc.config_digest Erc.default_config Rsg_compact.Rules.default
+
+let test_cached_erc () =
+  check_protocol ~name:"erc" ~make:pla_cell
+    ~compute:(fun cell run ->
+      Erc.check_protos ~domains:2
+        ~cached:(Store.Cached.replay run (fun p -> p.Codec.p_ercs) erc_digest)
+        (Flatten.prototypes cell))
+    ~save:(fun cell run key r ->
+      ignore
+        (Store.Cached.save run (lazy key)
+           ~label:"erc"
+           ~ercs:
+             (Store.Cached.by_hex erc_digest
+                (List.map (fun (l : Erc.level) -> (l.Erc.l_hash, l.Erc.l_verdict)) r.Erc.r_levels))
+           (lazy (Flatten.prototypes cell)) cell))
+    ~uncached:(fun cell -> Erc.check_cell ~domains:1 cell)
+    ~replayed:(fun _ r ->
+      List.map (fun (l : Erc.level) -> (l.Erc.l_hash, l.Erc.l_cached)) r.Erc.r_levels)
+    ~canon:(fun r ->
+      Erc.report_to_json
+        { r with
+          Erc.r_cached = 0;
+          r_levels = List.map (fun (l : Erc.level) -> { l with Erc.l_cached = false }) r.Erc.r_levels })
+
+let rules = Rsg_compact.Rules.default
+
+let rules_digest = Rsg_compact.Rules.digest rules
+
+let test_cached_hcompact () =
+  check_protocol ~name:"hcompact" ~make:pla_cell
+    ~compute:(fun cell run ->
+      Hcompact.hier ~domains:2
+        ~cached:(Store.Cached.replay run (fun p -> p.Codec.p_compacts) rules_digest)
+        rules cell)
+    ~save:(fun cell run key r ->
+      ignore
+        (Store.Cached.save run (lazy key)
+           ~label:"hcompact"
+           ~reused:(fun hex ->
+             List.exists (fun (h, _, reused) -> h = hex && reused) r.Hcompact.hr_artifacts)
+           ~compacts:
+             (Store.Cached.by_hex rules_digest
+                (List.map (fun (h, pa, _) -> (h, pa)) r.Hcompact.hr_artifacts))
+           (lazy (Flatten.prototypes cell)) cell))
+    ~uncached:(fun cell -> Hcompact.hier ~domains:1 rules cell)
+    ~replayed:(fun _ r -> List.map (fun (h, _, reused) -> (h, reused)) r.Hcompact.hr_artifacts)
+    ~canon:(fun r ->
+      Cif.to_string r.Hcompact.hr_cell
+      ^ Marshal.to_string
+          ( { r.Hcompact.hr_stats with Hcompact.hs_reused = 0 },
+            List.map (fun (h, pa, _) -> (h, pa)) r.Hcompact.hr_artifacts )
+          [])
+
+(* Place evaluations ride on the root record alone, so the root is
+   always on the dirty chain: an edited block replays no evaluation,
+   an unchanged rerun replays all of them. *)
+let test_cached_places () =
+  let search cell cached =
+    let st0 = Rsg_search.Place_opt.make ~rules [ cell; cell ] in
+    Anneal.run ~domains:2 ~cached ~chains:1 ~iters:6 ~seed:3
+      Rsg_search.Place_opt.problem st0
+  in
+  let root_hex cell =
+    let protos = Flatten.prototypes cell in
+    Flatten.subtree_hex protos (Flatten.protos_root protos)
+  in
+  check_protocol ~name:"places" ~make:pla_cell
+    ~compute:(fun cell run ->
+      let hex = root_hex cell in
+      search cell (fun d ->
+          Store.Cached.replay run (fun p -> p.Codec.p_places)
+            (Digest.string (d ^ rules_digest)) hex))
+    ~save:(fun cell run key r ->
+      let hex = root_hex cell in
+      let evals =
+        List.sort compare
+          (List.map (fun (d, a) -> (Digest.string (d ^ rules_digest), a)) r.Anneal.r_evals)
+      in
+      ignore
+        (Store.Cached.save run (lazy key)
+           ~label:"places"
+           ~places:(fun h -> if h = hex then evals else [])
+           (lazy (Flatten.prototypes cell)) cell))
+    ~uncached:(fun cell -> search cell (fun _ -> None))
+    ~replayed:(fun cell r ->
+      [ (root_hex cell, r.Anneal.r_stats.Anneal.st_computed = 0) ])
+    ~canon:(fun r ->
+      Printf.sprintf "%s %d %d" (Digest.to_hex r.Anneal.r_digest) r.Anneal.r_cost
+        r.Anneal.r_initial_cost)
+
+(* A fully replayed hierarchical check must build no prototype geometry
+   — the reopen path of an edit loop depends on it.  Probe:
+   [Flatten.seed_proto] refuses once any prototype array exists. *)
+let test_replay_builds_no_geometry () =
+  let mult () =
+    (Rsg_mult.Layout_gen.generate ~xsize:4 ~ysize:4 ()).Rsg_mult.Layout_gen.whole
+  in
+  let probe what protos =
+    match
+      Flatten.seed_proto protos ~hash:(String.make 16 '\000') ~boxes:[||] ~labels:[||]
+    with
+    | () -> ()
+    | exception Invalid_argument _ -> Alcotest.fail (what ^ " built prototype geometry")
+  in
+  let protos = Flatten.prototypes (mult ()) in
+  let table =
+    Codec.proto_table protos
+      ~reports:(reports_of_hier (Drc.check_protos ~domains:2 protos))
+      ~ercs:(fun hex ->
+        List.filter_map
+          (fun (l : Erc.level) ->
+            if l.Erc.l_hash = hex then Some (erc_digest, l.Erc.l_verdict) else None)
+          (Erc.check_protos ~domains:2 protos).Erc.r_levels)
+  in
+  let by_hex = Hashtbl.create 32 in
+  Array.iter
+    (fun (p : Codec.proto) -> Hashtbl.replace by_hex (Digest.to_hex p.Codec.p_hash) p)
+    table;
+  let replay field digest hex =
+    Option.bind (Hashtbl.find_opt by_hex hex) (fun p -> List.assoc_opt digest (field p))
+  in
+  let protos = Flatten.prototypes (mult ()) in
+  let d =
+    Drc.check_protos ~domains:2
+      ~cached:(replay (fun p -> p.Codec.p_reports) deck_digest)
+      protos
+  in
+  Alcotest.(check int) "drc replays every level" (List.length d.Drc.h_levels) d.Drc.h_cached;
+  probe "replayed drc" protos;
+  let protos = Flatten.prototypes (mult ()) in
+  let e =
+    Erc.check_protos ~domains:2
+      ~cached:(replay (fun p -> p.Codec.p_ercs) erc_digest)
+      protos
+  in
+  Alcotest.(check int) "erc replays every level" (List.length e.Erc.r_levels) e.Erc.r_cached;
+  probe "replayed erc" protos
+
 let batch_jobs () =
   List.mapi
     (fun i (name, build) ->
@@ -1148,6 +1400,15 @@ let () =
           Alcotest.test_case "seeded recomposition" `Quick
             test_seed_recompose;
           qcheck_edit_dirtiness;
+        ] );
+      ( "cached",
+        [
+          Alcotest.test_case "drc levels" `Quick test_cached_drc;
+          Alcotest.test_case "erc verdicts" `Quick test_cached_erc;
+          Alcotest.test_case "compaction artifacts" `Quick test_cached_hcompact;
+          Alcotest.test_case "place evaluations" `Quick test_cached_places;
+          Alcotest.test_case "full replay builds no geometry" `Quick
+            test_replay_builds_no_geometry;
         ] );
       ( "batch",
         [
