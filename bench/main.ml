@@ -1913,9 +1913,9 @@ let e31 () =
   note "beat it, and the warm pass replays every candidate from the";
   note "evaluation cache (warm# = evaluations actually computed).";
   note "chains are pure functions of (seed, index), so the best layout";
-  note "is bit-identical at every domain count; at these toy deck";
-  note "sizes a single candidate solve is allocation-bound, so the";
-  note "chain fan-out is GC-contention-limited rather than linear"
+  note "is bit-identical at every domain count; a candidate's cost is";
+  note "its Hcompact.hier solve, mostly re-condensing the root's full";
+  note "flat layout, and past 2 domains the 2 chains add nothing"
 
 let sections =
   [ ("E1", e1); ("E2", e2); ("E3", e3); ("E4", e4); ("E5", e5); ("E6", e6);

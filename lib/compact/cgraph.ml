@@ -1,10 +1,15 @@
 type constr = { c_from : int; c_to : int; c_gap : int }
 
+(* Constraint i is the triple (froms.(i), tos.(i), gaps.(i)), i < nc,
+   in insertion order; the arrays grow by doubling.  Records are built
+   only for [constraints]. *)
 type t = {
   mutable inits : int array;
   mutable names : string array;
   mutable nv : int;
-  mutable cs : constr list;  (* reverse order *)
+  mutable froms : int array;
+  mutable tos : int array;
+  mutable gaps : int array;
   mutable nc : int;
 }
 
@@ -14,17 +19,18 @@ let create () =
   { inits = Array.make 16 0;
     names = Array.make 16 "origin";
     nv = 1;
-    cs = [];
+    froms = Array.make 16 0;
+    tos = Array.make 16 0;
+    gaps = Array.make 16 0;
     nc = 0 }
+
+(* capacities start at 16, so [a] is never empty *)
+let grow a = Array.append a (Array.make (Array.length a) a.(0))
 
 let fresh_var t ?(name = "") ~init () =
   if t.nv = Array.length t.inits then begin
-    let inits = Array.make (2 * t.nv) 0
-    and names = Array.make (2 * t.nv) "" in
-    Array.blit t.inits 0 inits 0 t.nv;
-    Array.blit t.names 0 names 0 t.nv;
-    t.inits <- inits;
-    t.names <- names
+    t.inits <- grow t.inits;
+    t.names <- grow t.names
   end;
   let v = t.nv in
   t.inits.(v) <- init;
@@ -44,20 +50,35 @@ let check_var t v =
 let add_ge t ~from ~to_ ~gap =
   check_var t from;
   check_var t to_;
-  t.cs <- { c_from = from; c_to = to_; c_gap = gap } :: t.cs;
-  t.nc <- t.nc + 1
+  if t.nc = Array.length t.froms then begin
+    t.froms <- grow t.froms;
+    t.tos <- grow t.tos;
+    t.gaps <- grow t.gaps
+  end;
+  let i = t.nc in
+  t.froms.(i) <- from;
+  t.tos.(i) <- to_;
+  t.gaps.(i) <- gap;
+  t.nc <- i + 1
 
 let add_eq t ~from ~to_ ~gap =
   add_ge t ~from ~to_ ~gap;
   add_ge t ~from:to_ ~to_:from ~gap:(-gap)
 
-let constraints t = List.rev t.cs
+let constraints t =
+  List.init t.nc (fun i ->
+      { c_from = t.froms.(i); c_to = t.tos.(i); c_gap = t.gaps.(i) })
+
+let edges t = (t.froms, t.tos, t.gaps)
 
 let n_constraints t = t.nc
 
 let satisfied t values =
   Array.length values = t.nv
   && values.(origin) = 0
-  && List.for_all
-       (fun c -> values.(c.c_to) - values.(c.c_from) >= c.c_gap)
-       t.cs
+  &&
+  let ok = ref true in
+  for i = 0 to t.nc - 1 do
+    if values.(t.tos.(i)) - values.(t.froms.(i)) < t.gaps.(i) then ok := false
+  done;
+  !ok

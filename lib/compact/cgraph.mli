@@ -35,6 +35,13 @@ val add_eq : t -> from:int -> to_:int -> gap:int -> unit
 val constraints : t -> constr list
 (** In insertion order. *)
 
+val edges : t -> int array * int array * int array
+(** The graph's own constraint storage [(from, to, gap)], in insertion
+    order: entry [i] of the three arrays is constraint [i] for
+    [i < n_constraints t]; later entries are spare capacity.  Shared,
+    not copied — read it before the next {!add_ge} and never write
+    it.  The solvers' flat view; {!constraints} builds records. *)
+
 val n_constraints : t -> int
 
 val satisfied : t -> int array -> bool

@@ -13,9 +13,12 @@ type cgraph = {
 }
 
 let cgraph_of_graph g =
+  let src, dst, gap = Cgraph.edges g in
   { cg_nv = Cgraph.n_vars g;
     cg_inits = Array.init (Cgraph.n_vars g) (Cgraph.init_value g);
-    cg_cons = Array.of_list (Cgraph.constraints g) }
+    cg_cons =
+      Array.init (Cgraph.n_constraints g) (fun i ->
+          { Cgraph.c_from = src.(i); c_to = dst.(i); c_gap = gap.(i) }) }
 
 let graph_of_cgraph cg =
   let g = Cgraph.create () in

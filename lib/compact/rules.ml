@@ -3,6 +3,9 @@ open Rsg_geom
 type t = {
   widths : (Layer.t * int) list;
   spacings : ((Layer.t * Layer.t) * int) list;  (* keys normalised *)
+  table : int option array;
+      (* [spacing a b] at [to_index a * n_layers + to_index b], both
+         orders filled: the stitch and the checkers ask per box pair *)
   cut_size : int;
   cut_spacing : int;
   cut_overlap : int;
@@ -10,12 +13,19 @@ type t = {
 
 let norm_pair a b = if Layer.compare a b <= 0 then (a, b) else (b, a)
 
+let n_layers = List.length Layer.all
+
 let make ~widths ~spacings ~cut_size ~cut_spacing ~cut_overlap =
-  { widths;
-    spacings = List.map (fun ((a, b), s) -> (norm_pair a b, s)) spacings;
-    cut_size;
-    cut_spacing;
-    cut_overlap }
+  let spacings = List.map (fun ((a, b), s) -> (norm_pair a b, s)) spacings in
+  let table =
+    Array.init (n_layers * n_layers) (fun k ->
+        List.assoc_opt
+          (norm_pair
+             (Layer.of_index_exn (k / n_layers))
+             (Layer.of_index_exn (k mod n_layers)))
+          spacings)
+  in
+  { widths; spacings; table; cut_size; cut_spacing; cut_overlap }
 
 let default =
   make
@@ -73,7 +83,7 @@ let digest t =
   add "cut:%d,%d,%d" t.cut_size t.cut_spacing t.cut_overlap;
   Digest.string (Buffer.contents b)
 
-let spacing t a b = List.assoc_opt (norm_pair a b) t.spacings
+let spacing t a b = t.table.((Layer.to_index a * n_layers) + Layer.to_index b)
 
 let connects _ a b =
   Layer.equal a b

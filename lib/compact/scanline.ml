@@ -14,68 +14,86 @@ type gen = {
 
 let y_overlap a b = a.box.Box.ymin < b.box.Box.ymax && b.box.Box.ymin < a.box.Box.ymax
 
-let interacting rules a b =
-  Rules.connects rules a.layer b.layer
-  || Option.is_some (Rules.spacing rules a.layer b.layer)
-
 let is_contact = function
   | Layer.Contact | Layer.Contact_cut -> true
   | _ -> false
 
+(* Layer-pair tables of a deck, indexed [to_index a * n_layers +
+   to_index b]: the pair kernels look a pair up instead of asking
+   {!Rules} for every one. *)
+let n_layers = List.length Layer.all
+
+let pair_table f =
+  Array.init (n_layers * n_layers) (fun k ->
+      f (Layer.of_index_exn (k / n_layers)) (Layer.of_index_exn (k mod n_layers)))
+
 (* Plane sweep over closed boxes: report every pair within Chebyshev
    distance [halo] of each other (touching counts; [halo = 0] reports
    exactly the overlapping-or-abutting pairs).  Boxes enter the active
-   set in xmin order and retire once their right edge falls more than
-   [halo] behind the sweep front; the active set is ordered by ymin so
-   a query stops as soon as candidates start past the query's top
-   edge.  On box-dominated layout geometry (bounded overlap depth)
-   this is O((n + k) log n) for k reported pairs — the all-pairs loop
-   this replaces was Theta(n^2) regardless of k. *)
+   set in (xmin, index) order and retire once their right edge falls
+   more than [halo] behind the sweep front; the active set is a sorted
+   array ordered by (ymin, index), so a query stops as soon as
+   candidates start past the query's top edge.  Retirement walks the
+   boxes in (xmax + halo, index) order: the front only advances, and a
+   box can only be due once it has entered (its xmin is at most its
+   exit), except one narrower than [-halo], which would retire before
+   any query sees it and so never enters.  On box-dominated layout
+   geometry (bounded overlap depth) this is O((n + k) log n) for k
+   reported pairs, plus the shifts of the active array. *)
 let sweep_pairs ?(halo = 0) (boxes : Box.t array) f =
   let n = Array.length boxes in
   if n > 1 then begin
-    let order = Array.init n Fun.id in
-    Array.sort
-      (fun i j ->
-        let c = Int.compare boxes.(i).Box.xmin boxes.(j).Box.xmin in
-        if c <> 0 then c else Int.compare i j)
-      order;
-    let module IS = Set.Make (struct
-      type t = int * int
-
-      let compare = compare
-    end) in
-    (* active: (ymin, idx); exits: (xmax + halo, idx) *)
-    let active = ref IS.empty and exits = ref IS.empty in
+    let ymin i = boxes.(i).Box.ymin and exit i = boxes.(i).Box.xmax + halo in
+    let by key =
+      let order = Array.init n Fun.id in
+      Array.sort
+        (fun i j ->
+          let c = Int.compare (key i) (key j) in
+          if c <> 0 then c else Int.compare i j)
+        order;
+      order
+    in
+    let entries = by (fun i -> boxes.(i).Box.xmin) and exits = by exit in
+    let active = Array.make n 0 and n_active = ref 0 in
+    (* the first active position not ordered before box [j] *)
+    let seek j =
+      let y = ymin j and lo = ref 0 and hi = ref !n_active in
+      while !lo < !hi do
+        let mid = (!lo + !hi) lsr 1 in
+        let k = active.(mid) in
+        if ymin k < y || (ymin k = y && k < j) then lo := mid + 1 else hi := mid
+      done;
+      !lo
+    in
+    let retired = ref 0 in
     Array.iter
       (fun i ->
         let b = boxes.(i) in
-        let rec purge () =
-          match IS.min_elt_opt !exits with
-          | Some ((x_exit, j) as e) when x_exit < b.Box.xmin ->
-            exits := IS.remove e !exits;
-            active := IS.remove (boxes.(j).Box.ymin, j) !active;
-            purge ()
-          | _ -> ()
-        in
-        purge ();
+        while !retired < n && exit exits.(!retired) < b.Box.xmin do
+          let j = exits.(!retired) in
+          let p = seek j in
+          if p < !n_active && active.(p) = j then begin
+            Array.blit active (p + 1) active p (!n_active - p - 1);
+            decr n_active
+          end;
+          incr retired
+        done;
         (* an active box may start far below the query window yet reach
            into it, so the scan starts at the bottom of the active set;
            ymin ordering gives the early exit past the window's top *)
-        let cutoff = b.Box.ymax + halo in
-        let rec scan seq =
-          match seq () with
-          | Seq.Nil -> ()
-          | Seq.Cons ((ymin, j), tl) ->
-            if ymin <= cutoff then begin
-              if boxes.(j).Box.ymax >= b.Box.ymin - halo then f j i;
-              scan tl
-            end
-        in
-        scan (IS.to_seq !active);
-        active := IS.add (b.Box.ymin, i) !active;
-        exits := IS.add (b.Box.xmax + halo, i) !exits)
-      order
+        let cutoff = b.Box.ymax + halo and p = ref 0 in
+        while !p < !n_active && ymin active.(!p) <= cutoff do
+          let j = active.(!p) in
+          if boxes.(j).Box.ymax >= b.Box.ymin - halo then f j i;
+          incr p
+        done;
+        if exit i >= b.Box.xmin then begin
+          let p = seek i in
+          Array.blit active p active (p + 1) (!n_active - p);
+          active.(p) <- i;
+          incr n_active
+        end)
+      entries
   end
 
 (* Electrical nets: union-find over touching geometry on connecting
@@ -103,91 +121,99 @@ let nets_of rules items =
     let ri = find i and rj = find j in
     if ri <> rj then parent.(ri) <- rj
   in
+  let conn = pair_table (Rules.connects rules)
+  and lay = Array.map (fun it -> Layer.to_index it.layer) items in
   sweep_pairs
     (Array.map (fun it -> it.box) items)
-    (fun i j ->
-      if Rules.connects rules items.(i).layer items.(j).layer then union i j);
+    (fun i j -> if conn.((lay.(i) * n_layers) + lay.(j)) then union i j);
   Array.init n find
 
-(* Emit the constraints between box [a] (to the left) and box [b].
-   When the boxes only share a y edge (no strict y overlap), the sole
-   relevant relation is electrical connection between touching
-   same-net boxes — a wire turning a corner — which must keep its
-   x overlap; spacing and device rules need strict y overlap. *)
-let pair_constraints rules g ~left ~right ~(items : item array) ~same_net ia ib
-    =
-  let a = items.(ia) and b = items.(ib) in
-  let y_strict = y_overlap a b in
-  let touch = a.box.Box.xmax >= b.box.Box.xmin in
-  let connectivity () =
-    (* electrically one piece here: the mutual overlap must survive
-       (in both directions, or the wire could tear apart) *)
-    let ov =
-      min a.box.Box.xmax b.box.Box.xmax - max a.box.Box.xmin b.box.Box.xmin
-    in
-    if ov >= 0 then begin
-      let req = min ov 1 in
-      Cgraph.add_ge g ~from:left.(ib) ~to_:right.(ia) ~gap:req;
-      Cgraph.add_ge g ~from:left.(ia) ~to_:right.(ib) ~gap:req
-    end
-  in
-  if not y_strict then begin
-    if same_net && Rules.connects rules a.layer b.layer && touch then
-      connectivity ()
+(* The pair kernels' flat view of the items in sweep (xmin) order:
+   position p holds item [order.(p)]'s coordinates, layer index, net
+   and edge variables, so the Theta(n^2) pair loop reads consecutive
+   ints instead of chasing item records. *)
+type kernel = {
+  g : Cgraph.t;
+  x0 : int array;
+  x1 : int array;
+  y0 : int array;
+  y1 : int array;
+  lay : int array;
+  contact : bool array;
+  net : int array;
+  lv : int array;  (* left-edge variable *)
+  rv : int array;  (* right-edge variable *)
+  conn : bool array;  (* layer pair connects *)
+  space : int option array;  (* layer pair spacing rule *)
+  cut_overlap : int;
+}
+
+(* Same-net touching boxes are electrically one piece here: the mutual
+   overlap must survive (in both directions, or the wire could tear
+   apart). *)
+let connectivity k p q =
+  let ov = min k.x1.(p) k.x1.(q) - max k.x0.(p) k.x0.(q) in
+  if ov >= 0 then begin
+    let req = min ov 1 in
+    Cgraph.add_ge k.g ~from:k.lv.(q) ~to_:k.rv.(p) ~gap:req;
+    Cgraph.add_ge k.g ~from:k.lv.(p) ~to_:k.rv.(q) ~gap:req
   end
-  else
-    let spacing () =
-      match Rules.spacing rules a.layer b.layer with
-      | Some s -> Cgraph.add_ge g ~from:right.(ia) ~to_:left.(ib) ~gap:s
-      | None -> ()
-    in
-    if same_net then begin
-      if Rules.connects rules a.layer b.layer && touch then
-        if is_contact b.layer && not (is_contact a.layer)
-           && a.box.Box.xmin <= b.box.Box.xmin
-           && b.box.Box.xmax <= a.box.Box.xmax
-        then begin
-          (* keep the contact enclosed in its conductor *)
-          let m = Rules.cut_overlap rules in
-          Cgraph.add_ge g ~from:left.(ia) ~to_:left.(ib)
-            ~gap:(min m (b.box.Box.xmin - a.box.Box.xmin));
-          Cgraph.add_ge g ~from:right.(ib) ~to_:right.(ia)
-            ~gap:(min m (a.box.Box.xmax - b.box.Box.xmax))
-        end
-        else connectivity ()
-      else if (not (Rules.connects rules a.layer b.layer))
-              && a.box.Box.xmax > b.box.Box.xmin
-      then
-        (* a device within the net's cell (e.g. a buried contact's
-           layers): freeze the relative geometry *)
-        Cgraph.add_eq g ~from:left.(ia) ~to_:left.(ib)
-          ~gap:(b.box.Box.xmin - a.box.Box.xmin)
-      (* same net, same axis, not touching: no constraint — a net may
-         approach itself (the fig 6.5 fragmented bus) *)
-    end
-    else if a.box.Box.xmax > b.box.Box.xmin
-            && not (Rules.connects rules a.layer b.layer)
-    then
-      (* proper overlap on non-connecting layers is a device (poly
-         crossing diffusion): freeze the relative x geometry.  Mere
-         edge contact is not a device and falls through to spacing. *)
-      Cgraph.add_eq g ~from:left.(ia) ~to_:left.(ib)
-        ~gap:(b.box.Box.xmin - a.box.Box.xmin)
-    else spacing ()
+
+(* proper overlap on non-connecting layers is a device: freeze the
+   relative x geometry *)
+let freeze k p q =
+  Cgraph.add_eq k.g ~from:k.lv.(p) ~to_:k.lv.(q) ~gap:(k.x0.(q) - k.x0.(p))
+
+let spacing k p q pair =
+  match k.space.(pair) with
+  | Some s -> Cgraph.add_ge k.g ~from:k.rv.(p) ~to_:k.lv.(q) ~gap:s
+  | None -> ()
+
+(* Emit the constraints between box [p] (to the left) and box [q], on
+   interacting layers.  When the boxes only share a y edge (no strict
+   y overlap), the sole relevant relation is electrical connection
+   between touching same-net boxes — a wire turning a corner — which
+   must keep its x overlap; spacing and device rules need strict y
+   overlap. *)
+let visibility_pair k p q =
+  let pair = (k.lay.(p) * n_layers) + k.lay.(q) in
+  let conn = k.conn.(pair) and same_net = k.net.(p) = k.net.(q) in
+  let touch = k.x1.(p) >= k.x0.(q) in
+  if not (k.y0.(p) < k.y1.(q) && k.y0.(q) < k.y1.(p)) then begin
+    if same_net && conn && touch then connectivity k p q
+  end
+  else if same_net then begin
+    if conn && touch then
+      if k.contact.(q) && (not k.contact.(p))
+         && k.x0.(p) <= k.x0.(q) && k.x1.(q) <= k.x1.(p)
+      then begin
+        (* keep the contact enclosed in its conductor *)
+        Cgraph.add_ge k.g ~from:k.lv.(p) ~to_:k.lv.(q)
+          ~gap:(min k.cut_overlap (k.x0.(q) - k.x0.(p)));
+        Cgraph.add_ge k.g ~from:k.rv.(q) ~to_:k.rv.(p)
+          ~gap:(min k.cut_overlap (k.x1.(p) - k.x1.(q)))
+      end
+      else connectivity k p q
+    else if (not conn) && k.x1.(p) > k.x0.(q) then
+      (* a device within the net's cell (e.g. a buried contact's
+         layers) *)
+      freeze k p q
+    (* same net, same axis, not touching: no constraint — a net may
+       approach itself (the fig 6.5 fragmented bus) *)
+  end
+  else if k.x1.(p) > k.x0.(q) && not conn then
+    (* a device (poly crossing diffusion); mere edge contact is not a
+       device and falls through to spacing *)
+    freeze k p q
+  else spacing k p q pair
 
 (* The naive generator applies the spacing rule between every pair of
    opposing edges, hidden or not, connected or not (section 6.4.1's
    first attempt). *)
-let naive_pair rules g ~left ~right ~(items : item array) ia ib =
-  let a = items.(ia) and b = items.(ib) in
-  let overlap = a.box.Box.xmax > b.box.Box.xmin in
-  if (not (Rules.connects rules a.layer b.layer)) && overlap then
-    Cgraph.add_eq g ~from:left.(ia) ~to_:left.(ib)
-      ~gap:(b.box.Box.xmin - a.box.Box.xmin)
-  else
-    match Rules.spacing rules a.layer b.layer with
-    | Some s -> Cgraph.add_ge g ~from:right.(ia) ~to_:left.(ib) ~gap:s
-    | None -> ()
+let naive_pair k p q =
+  let pair = (k.lay.(p) * n_layers) + k.lay.(q) in
+  if (not k.conn.(pair)) && k.x1.(p) > k.x0.(q) then freeze k p q
+  else spacing k p q pair
 
 (* ------------------------------------------------------------------ *)
 (* ------------------------------------------------------------------ *)
@@ -205,12 +231,9 @@ let generate ?(stretchable = fun _ -> false) rules method_ items =
   let left = Array.make n 0 and right = Array.make n 0 in
   Array.iteri
     (fun i it ->
-      left.(i) <-
-        Cgraph.fresh_var g ~name:(Printf.sprintf "b%d.l" i)
-          ~init:it.box.Box.xmin ();
-      right.(i) <-
-        Cgraph.fresh_var g ~name:(Printf.sprintf "b%d.r" i)
-          ~init:it.box.Box.xmax ();
+      let b = "b" ^ string_of_int i in
+      left.(i) <- Cgraph.fresh_var g ~name:(b ^ ".l") ~init:it.box.Box.xmin ();
+      right.(i) <- Cgraph.fresh_var g ~name:(b ^ ".r") ~init:it.box.Box.xmax ();
       Cgraph.add_ge g ~from:Cgraph.origin ~to_:left.(i) ~gap:0;
       let w = Box.width it.box in
       if stretchable i then
@@ -224,29 +247,57 @@ let generate ?(stretchable = fun _ -> false) rules method_ items =
       let c = Int.compare items.(i).box.Box.xmin items.(j).box.Box.xmin in
       if c <> 0 then c else Int.compare i j)
     order;
-  (match method_ with
-  | Naive ->
-    Obs.span "scanline.pairs" (fun () ->
-        for oi = 0 to n - 1 do
-          for oj = oi + 1 to n - 1 do
-            let ia = order.(oi) and ib = order.(oj) in
-            if y_overlap items.(ia) items.(ib)
-               && interacting rules items.(ia) items.(ib)
-            then naive_pair rules g ~left ~right ~items ia ib
+  let at f = Array.map f order in
+  let box_at f = at (fun i -> f items.(i).box) in
+  let net =
+    match method_ with
+    | Naive -> [||]
+    | Visibility ->
+      let nets = Obs.span "scanline.nets" (fun () -> nets_of rules items) in
+      at (fun i -> nets.(i))
+  in
+  let k =
+    { g;
+      x0 = box_at (fun b -> b.Box.xmin);
+      x1 = box_at (fun b -> b.Box.xmax);
+      y0 = box_at (fun b -> b.Box.ymin);
+      y1 = box_at (fun b -> b.Box.ymax);
+      lay = at (fun i -> Layer.to_index items.(i).layer);
+      contact = at (fun i -> is_contact items.(i).layer);
+      net;
+      lv = at (fun i -> left.(i));
+      rv = at (fun i -> right.(i));
+      conn = pair_table (Rules.connects rules);
+      space = pair_table (Rules.spacing rules);
+      cut_overlap = Rules.cut_overlap rules }
+  in
+  (* a pair of layers interacts when it connects or has a spacing rule *)
+  let inter = Array.mapi (fun pair c -> c || Option.is_some k.space.(pair)) k.conn in
+  Obs.span "scanline.pairs" (fun () ->
+      for p = 0 to n - 1 do
+        let row = k.lay.(p) * n_layers in
+        match method_ with
+        | Naive ->
+          for q = p + 1 to n - 1 do
+            if k.y0.(p) < k.y1.(q) && k.y0.(q) < k.y1.(p)
+               && inter.(row + k.lay.(q))
+            then naive_pair k p q
           done
-        done)
-  | Visibility ->
-    let nets = Obs.span "scanline.nets" (fun () -> nets_of rules items) in
-    Obs.span "scanline.pairs" (fun () ->
-        for oi = 0 to n - 1 do
-          for oj = oi + 1 to n - 1 do
-            let ia = order.(oi) and ib = order.(oj) in
-            if interacting rules items.(ia) items.(ib) then
-              pair_constraints rules g ~left ~right ~items
-                ~same_net:(nets.(ia) = nets.(ib))
-                ia ib
+        | Visibility ->
+          (* xmin ascends with q, so the boxes touching p in x come
+             first; past them a pair can only need spacing (cross-net,
+             y-overlapping, with a rule) *)
+          let far = ref (p + 1) in
+          while !far < n && k.x0.(!far) <= k.x1.(p) do
+            if inter.(row + k.lay.(!far)) then visibility_pair k p !far;
+            incr far
+          done;
+          let y0 = k.y0.(p) and y1 = k.y1.(p) and net = k.net.(p) in
+          for q = !far to n - 1 do
+            if y0 < k.y1.(q) && k.y0.(q) < y1 && k.net.(q) <> net then
+              spacing k p q (row + k.lay.(q))
           done
-        done));
+      done);
   Obs.count "scanline.generations";
   Obs.count ~n:(n * (n - 1) / 2) "scanline.pairs";
   { graph = g; left; right; items }

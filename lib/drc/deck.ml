@@ -171,11 +171,8 @@ let of_string text =
     (String.split_on_char '\n' text);
   make ~name:!name (List.rev !rules)
 
-let read_file path =
-  let ic = open_in path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () -> of_string (really_input_string ic (in_channel_length ic)))
+(* read to end of file rather than by length, so pipes work too *)
+let read_file path = of_string (In_channel.with_open_text path In_channel.input_all)
 
 let pp_rule ppf = function
   | Width (l, w) -> Format.fprintf ppf "width %s %d" (Layer.name l) w

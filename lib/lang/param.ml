@@ -50,11 +50,8 @@ let parse src =
     lines;
   { directives = List.rev !directives; bindings = List.rev !bindings }
 
-let parse_file path =
-  let ic = open_in path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () -> parse (really_input_string ic (in_channel_length ic)))
+(* read to end of file rather than by length, so pipes work too *)
+let parse_file path = parse (In_channel.with_open_text path In_channel.input_all)
 
 let directive t key = List.assoc_opt key t.directives
 

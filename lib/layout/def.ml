@@ -119,8 +119,5 @@ let of_string src =
   if !current <> None then failwith "Def: unterminated cell";
   { db; top = !top }
 
-let read_file path =
-  let ic = open_in path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () -> of_string (really_input_string ic (in_channel_length ic)))
+(* read to end of file rather than by length, so pipes work too *)
+let read_file path = of_string (In_channel.with_open_text path In_channel.input_all)

@@ -11,8 +11,7 @@ let fail lineno msg = raise (Spec_error (Printf.sprintf "line %d: %s" lineno msg
 
 let read_file lineno path =
   match
-    In_channel.with_open_bin path (fun ic ->
-        really_input_string ic (In_channel.length ic |> Int64.to_int))
+    In_channel.with_open_bin path In_channel.input_all
   with
   | s -> s
   | exception Sys_error msg -> fail lineno ("cannot read " ^ path ^ ": " ^ msg)

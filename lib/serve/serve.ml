@@ -500,10 +500,7 @@ let lint_work spec () =
         (Rsg_lint.Design_lint.check_string ~file:"pla.def(builtin)"
            (pla_lint_config ()) Rsg_pla.Pla_design_file.text)
     | path when Sys.file_exists path ->
-      let text =
-        In_channel.with_open_bin path (fun ic ->
-            really_input_string ic (In_channel.length ic |> Int64.to_int))
-      in
+      let text = In_channel.with_open_bin path In_channel.input_all in
       Some
         (Rsg_lint.Design_lint.check_string ~file:path
            Rsg_lint.Design_lint.default_config text)

@@ -964,8 +964,5 @@ let write_file path data =
   (* persist the directory entry itself so the rename survives a crash *)
   fsync_dir dir
 
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () -> decode (really_input_string ic (in_channel_length ic)))
+(* read to end of file rather than by length, so pipes work too *)
+let read_file path = decode (In_channel.with_open_bin path In_channel.input_all)

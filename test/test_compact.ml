@@ -127,6 +127,119 @@ let prop_worklist_matches_fixed =
            [ Bellman.Sorted_by_abscissa; Bellman.Insertion;
              Bellman.Reverse_sorted ]))
 
+(* On arbitrary systems (back edges included, so some are infeasible)
+   the two solvers agree on the least solution or both find a positive
+   cycle, and every witness they raise really gains. *)
+let prop_solvers_agree_or_both_infeasible =
+  let gen_graph =
+    QCheck.make
+      QCheck.Gen.(
+        fun st ->
+          let n = int_range 2 12 st in
+          let g = Cgraph.create () in
+          let v =
+            Array.init n (fun _ -> Cgraph.fresh_var g ~init:(int_range 0 50 st) ())
+          in
+          Array.iter
+            (fun vi -> Cgraph.add_ge g ~from:Cgraph.origin ~to_:vi ~gap:0)
+            v;
+          for _ = 1 to int_range 0 (3 * n) st do
+            let i = int_range 0 (n - 1) st and j = int_range 0 (n - 1) st in
+            Cgraph.add_ge g ~from:v.(i) ~to_:v.(j) ~gap:(int_range (-8) 6 st)
+          done;
+          g)
+  in
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~count:300
+       ~name:"worklist and fixed-pass agree or both infeasible" gen_graph
+       (fun g ->
+         let outcome solve =
+           match solve () with
+           | r -> Ok r.Bellman.values
+           | exception Bellman.Infeasible w -> Error (Bellman.cycle_gain w)
+         in
+         List.for_all
+           (fun order ->
+             match
+               ( outcome (fun () -> Bellman.solve ~order g),
+                 outcome (fun () -> Bellman.solve_fixed ~order g) )
+             with
+             | Ok w, Ok f -> w = f
+             | Error gw, Error gf -> gw > 0 && gf > 0
+             | _ -> false)
+           [ Bellman.Sorted_by_abscissa; Bellman.Insertion;
+             Bellman.Reverse_sorted ]))
+
+(* The list-based worklist solver the flat one replaced, kept only as
+   an oracle for its visiting order: on graphs full of tied abscissas
+   (where the sort's tie order shows) both must report the same
+   passes, relaxations and scans for every order. *)
+let reference_solve order g =
+  let edges = Array.of_list (Cgraph.constraints g) in
+  let key (c : Cgraph.constr) = Cgraph.init_value g c.Cgraph.c_from in
+  (match order with
+  | Bellman.Insertion -> ()
+  | Bellman.Sorted_by_abscissa ->
+    Array.sort (fun a b -> Int.compare (key a) (key b)) edges
+  | Bellman.Reverse_sorted ->
+    Array.sort (fun a b -> Int.compare (key b) (key a)) edges);
+  let n = Cgraph.n_vars g in
+  let out = Array.make n [] in
+  for i = Array.length edges - 1 downto 0 do
+    let f = edges.(i).Cgraph.c_from in
+    out.(f) <- i :: out.(f)
+  done;
+  let x = Array.make n min_int in
+  x.(Cgraph.origin) <- 0;
+  let passes = ref 0 and relaxations = ref 0 and scans = ref 0 in
+  let frontier = ref [ Cgraph.origin ] in
+  while !frontier <> [] && !passes <= n do
+    incr passes;
+    let next = ref [] in
+    List.iter
+      (fun i ->
+        incr scans;
+        let c = edges.(i) in
+        let xf = x.(c.Cgraph.c_from) in
+        if xf > min_int && xf + c.Cgraph.c_gap > x.(c.Cgraph.c_to) then begin
+          x.(c.Cgraph.c_to) <- xf + c.Cgraph.c_gap;
+          incr relaxations;
+          if not (List.mem c.Cgraph.c_to !next) then next := c.Cgraph.c_to :: !next
+        end)
+      (List.sort_uniq Int.compare (List.concat_map (fun v -> out.(v)) !frontier));
+    frontier := !next
+  done;
+  if !frontier <> [] then None else Some (x, !passes, !relaxations, !scans)
+
+let prop_worklist_visits_reference_order =
+  let gen_graph =
+    QCheck.make
+      QCheck.Gen.(
+        fun st ->
+          let n = int_range 2 16 st in
+          let g = Cgraph.create () in
+          let v = Array.init n (fun _ -> Cgraph.fresh_var g ~init:(int_range 0 3 st) ()) in
+          Array.iter (fun vi -> Cgraph.add_ge g ~from:Cgraph.origin ~to_:vi ~gap:0) v;
+          for _ = 1 to int_range 0 (4 * n) st do
+            let i = int_range 0 (n - 1) st and j = int_range 0 (n - 1) st in
+            Cgraph.add_ge g ~from:v.(i) ~to_:v.(j) ~gap:(int_range (-9) 5 st)
+          done;
+          g)
+  in
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~count:300 ~name:"worklist visits the reference order"
+       gen_graph (fun g ->
+         List.for_all
+           (fun order ->
+             match (Bellman.solve ~order g, reference_solve order g) with
+             | r, Some (x, p, rl, sc) ->
+               r.Bellman.values = x && r.Bellman.passes = p
+               && r.Bellman.relaxations = rl && r.Bellman.scans = sc
+             | _, None -> false
+             | exception Bellman.Infeasible _ -> reference_solve order g = None)
+           [ Bellman.Sorted_by_abscissa; Bellman.Insertion;
+             Bellman.Reverse_sorted ]))
+
 let test_sorted_edge_speedup () =
   (* Section 6.4.2: with edges sorted by initial abscissa, a long
      already-ordered chain relaxes in one effective pass. *)
@@ -147,6 +260,65 @@ let test_sorted_edge_speedup () =
     (reversed.Bellman.passes > 10);
   Alcotest.(check (array int)) "same solution" sorted.Bellman.values
     reversed.Bellman.values
+
+(* The balanced-set sweep the array sweep replaced, kept only as an
+   oracle: nets, DRC and extraction depend on the order pairs are
+   reported in, not just on the set. *)
+let reference_sweep ~halo (boxes : Box.t array) =
+  let module IS = Set.Make (struct
+    type t = int * int
+
+    let compare = compare
+  end) in
+  let n = Array.length boxes in
+  let order = Array.init n Fun.id in
+  Array.sort
+    (fun i j ->
+      let c = Int.compare boxes.(i).Box.xmin boxes.(j).Box.xmin in
+      if c <> 0 then c else Int.compare i j)
+    order;
+  let active = ref IS.empty and exits = ref IS.empty and out = ref [] in
+  Array.iter
+    (fun i ->
+      let b = boxes.(i) in
+      let rec purge () =
+        match IS.min_elt_opt !exits with
+        | Some ((x, j) as e) when x < b.Box.xmin ->
+          exits := IS.remove e !exits;
+          active := IS.remove (boxes.(j).Box.ymin, j) !active;
+          purge ()
+        | _ -> ()
+      in
+      purge ();
+      IS.iter
+        (fun (ymin, j) ->
+          if ymin <= b.Box.ymax + halo && boxes.(j).Box.ymax >= b.Box.ymin - halo
+          then out := (j, i) :: !out)
+        !active;
+      active := IS.add (b.Box.ymin, i) !active;
+      exits := IS.add (b.Box.xmax + halo, i) !exits)
+    order;
+  List.rev !out
+
+let prop_sweep_matches_reference =
+  let gen =
+    QCheck.make
+      QCheck.Gen.(
+        let* halo = int_range (-2) 4 and* n = int_range 0 40 in
+        let* boxes =
+          list_size (return n)
+            (let* x = int_range 0 30 and* y = int_range 0 30 in
+             let* w = int_range 0 8 and* h = int_range 0 8 in
+             return (box x y (x + w) (y + h)))
+        in
+        return (halo, Array.of_list boxes))
+  in
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~count:300 ~name:"sweep reports the reference pairs in order"
+       gen (fun (halo, boxes) ->
+         let got = ref [] in
+         Scanline.sweep_pairs ~halo boxes (fun j i -> got := (j, i) :: !got);
+         List.rev !got = reference_sweep ~halo boxes))
 
 (* ------------------------------------------------------------------ *)
 (* Constraint generation                                              *)
@@ -669,6 +841,233 @@ let prop_compaction_legal_random =
               pathological overlaps; rejecting is fine *)
            true))
 
+(* ------------------------------------------------------------------ *)
+(* Golden kernel digests                                              *)
+
+(* The constraint sequences Scanline.generate emits, Bellman's outcome
+   on them and the witnesses of planted positive cycles are pinned by
+   digest: cached cgraphs, compacted layouts and search scores all
+   rest on them, so a rewrite of Cgraph, Bellman, Rules or Scanline
+   must reproduce every one bit for bit. *)
+
+let graph_text g =
+  let b = Buffer.create 4096 in
+  Printf.bprintf b "n%d:" (Cgraph.n_vars g);
+  for v = 0 to Cgraph.n_vars g - 1 do
+    Printf.bprintf b "%d," (Cgraph.init_value g v)
+  done;
+  List.iter
+    (fun (c : Cgraph.constr) ->
+      Printf.bprintf b "%d>%d:%d;" c.Cgraph.c_from c.Cgraph.c_to c.Cgraph.c_gap)
+    (Cgraph.constraints g);
+  Buffer.contents b
+
+let all_orders =
+  [ Bellman.Insertion; Bellman.Sorted_by_abscissa; Bellman.Reverse_sorted ]
+
+let both_solvers =
+  [ (fun order g -> Bellman.solve ~order g);
+    (fun order g -> Bellman.solve_fixed ~order g) ]
+
+let outcome_text g =
+  List.concat_map
+    (fun solve ->
+      List.map
+        (fun order ->
+          match solve order g with
+          | r ->
+            Printf.sprintf "p%d r%d s%d v%s" r.Bellman.passes
+              r.Bellman.relaxations r.Bellman.scans
+              (String.concat ","
+                 (Array.to_list (Array.map string_of_int r.Bellman.values)))
+          | exception Bellman.Infeasible w ->
+            Format.asprintf "%a" Bellman.pp_witness w
+          | exception Bellman.Unbounded v -> Printf.sprintf "unbounded %d" v)
+        all_orders)
+    both_solvers
+  |> String.concat "|"
+
+let hex_of texts = Digest.to_hex (Digest.string (String.concat "\n" texts))
+
+(* every distinct prototype's x and transposed-y graphs *)
+let proto_graphs cell =
+  let protos = Rsg_layout.Flatten.prototypes cell in
+  let order = Array.of_list (Rsg_layout.Flatten.protos_order protos) in
+  let rep = Rsg_layout.Flatten.representatives protos in
+  List.concat
+    (List.filteri
+       (fun i _ -> rep.(i) = i)
+       (Array.to_list
+          (Array.map
+             (fun c ->
+               let items =
+                 Scanline.items_of_flat (Rsg_layout.Flatten.proto_flat protos c)
+               in
+               List.map
+                 (fun its ->
+                   (Scanline.generate Rules.default Scanline.Visibility its)
+                     .Scanline.graph)
+                 [ items; Scanline.transpose items ])
+             order)))
+
+(* a seeded soup over every layer, through both generators, with some
+   boxes stretchable *)
+let soup_graphs () =
+  let st = Random.State.make [| 15 |] in
+  let layers = Array.of_list Layer.all in
+  let items =
+    Array.init 90 (fun _ ->
+        let x = Random.State.int st 160 and y = Random.State.int st 120 in
+        item
+          layers.(Random.State.int st (Array.length layers))
+          (box x y (x + 1 + Random.State.int st 14) (y + 1 + Random.State.int st 14)))
+  in
+  List.concat_map
+    (fun its ->
+      List.map
+        (fun m ->
+          (Scanline.generate
+             ~stretchable:(fun i -> i mod 3 = 0)
+             Rules.default m its)
+            .Scanline.graph)
+        [ Scanline.Visibility; Scanline.Naive ])
+    [ items; Scanline.transpose items ]
+
+let kernel_families () =
+  let tt = Rsg_pla.Truth_table.of_strings [ ("10-", "10"); ("0-1", "01") ] in
+  [ ("pla", proto_graphs (Rsg_pla.Gen.generate tt).Rsg_pla.Gen.cell);
+    ("decoder", proto_graphs (Rsg_pla.Gen.generate_decoder 3).Rsg_pla.Gen.cell);
+    ( "ram",
+      proto_graphs
+        (Rsg_ram.Ram_gen.generate ~words:8 ~bits:4 ()).Rsg_ram.Ram_gen.cell );
+    ( "mult4",
+      proto_graphs
+        (Rsg_mult.Layout_gen.generate ~xsize:4 ~ysize:4 ())
+          .Rsg_mult.Layout_gen.whole );
+    ("soup", soup_graphs ()) ]
+
+(* recorded before the flat-array rewrite of the kernels *)
+let golden_kernels =
+  [ ("pla", "58619fcf84cec74e0ac483418a7ca63f",
+     "048f27a180d688388c19e8fa84d5d654");
+    ("decoder", "ce5fd9b5677eed03aa4e95e5e2a18048",
+     "64cd8c262951967e00465603f31b7a30");
+    ("ram", "1251690957d75939e9c163a83421d2b8",
+     "47c87b11924c4d2ce098d9f77f5b7705");
+    ("mult4", "82ff962fc40cd16dbec77f86d1954091",
+     "f402f6e5dbb825ee96f04d3061a9744e");
+    ("soup", "d928ed68e6408bc341cecf1efb204c11",
+     "ac89db12d3da6726e9d8929a68d0a539") ]
+
+let test_golden_kernels () =
+  List.iter2
+    (fun (name, graphs) (name', gen_hex, solve_hex) ->
+      Alcotest.(check string) "family" name' name;
+      Alcotest.(check string)
+        (name ^ " constraint sequences") gen_hex
+        (hex_of (List.map graph_text graphs));
+      Alcotest.(check string)
+        (name ^ " solver outcomes") solve_hex
+        (hex_of (List.map outcome_text graphs)))
+    (kernel_families ()) golden_kernels
+
+(* Positive cycles planted in seeded feasible systems, and in a real
+   leaf graph (a box whose left edge must clear its own right edge). *)
+let planted_graphs () =
+  let random seed =
+    let st = Random.State.make [| seed |] in
+    let n = 12 in
+    let g = Cgraph.create () in
+    let v =
+      Array.init n (fun i ->
+          Cgraph.fresh_var g ~name:(Printf.sprintf "x%d" i)
+            ~init:(Random.State.int st 100) ())
+    in
+    Array.iter (fun vi -> Cgraph.add_ge g ~from:Cgraph.origin ~to_:vi ~gap:0) v;
+    for _ = 1 to 30 do
+      let i = Random.State.int st (n - 1) in
+      let j = i + 1 + Random.State.int st (n - 1 - i) in
+      Cgraph.add_ge g ~from:v.(i) ~to_:v.(j) ~gap:(Random.State.int st 9 - 2)
+    done;
+    let a = Random.State.int st 4 and b = 4 + Random.State.int st 4 in
+    let c = 8 + Random.State.int st 4 in
+    Cgraph.add_ge g ~from:v.(a) ~to_:v.(b) ~gap:3;
+    Cgraph.add_ge g ~from:v.(b) ~to_:v.(c) ~gap:2;
+    Cgraph.add_ge g ~from:v.(c) ~to_:v.(a) ~gap:(-4);
+    g
+  in
+  let leaf =
+    let tt = Rsg_pla.Truth_table.of_strings [ ("10-", "10"); ("0-1", "01") ] in
+    let cell = (Rsg_pla.Gen.generate tt).Rsg_pla.Gen.cell in
+    let protos = Rsg_layout.Flatten.prototypes cell in
+    let c = List.hd (Rsg_layout.Flatten.protos_order protos) in
+    let gen =
+      Scanline.generate Rules.default Scanline.Visibility
+        (Scanline.items_of_flat (Rsg_layout.Flatten.proto_flat protos c))
+    in
+    Cgraph.add_ge gen.Scanline.graph ~from:gen.Scanline.right.(0)
+      ~to_:gen.Scanline.left.(0) ~gap:1;
+    gen.Scanline.graph
+  in
+  [ random 1; random 2; random 3; leaf ]
+
+let golden_witnesses =
+  [ "9f9f723dd628b0b030f0801f316bf6b4"; "efb5e32e6a71654869bfaf8c748bdaa0";
+    "66fd12087bf52ea6a9a36eef49b3a60c"; "4d3d558f8704a7824256c3bfb299d858" ]
+
+let test_golden_witnesses () =
+  List.iter2
+    (fun g expected ->
+      List.iter
+        (fun solve ->
+          List.iter
+            (fun order ->
+              match solve order g with
+              | _ -> Alcotest.fail "planted cycle not detected"
+              | exception Bellman.Infeasible w ->
+                Alcotest.(check bool) "witness gains" true
+                  (Bellman.cycle_gain w > 0))
+            all_orders)
+        both_solvers;
+      Alcotest.(check string) "witnesses" expected (hex_of [ outcome_text g ]))
+    (planted_graphs ()) golden_witnesses
+
+(* Rules.spacing answers exactly the deck's listed pairs, symmetrically;
+   the interaction horizon and the cache-key digest are pinned. *)
+let test_rules_tables () =
+  let check name rules listed max_s hex =
+    Alcotest.(check int) "eight layers" 8 (List.length Layer.all);
+    List.iter
+      (fun a ->
+        List.iter
+          (fun b ->
+            let expected =
+              match List.assoc_opt (a, b) listed with
+              | Some s -> Some s
+              | None -> List.assoc_opt (b, a) listed
+            in
+            Alcotest.(check (option int))
+              (Printf.sprintf "%s %s-%s" name (Layer.name a) (Layer.name b))
+              expected (Rules.spacing rules a b))
+          Layer.all)
+      Layer.all;
+    Alcotest.(check int) (name ^ " max_spacing") max_s (Rules.max_spacing rules);
+    Alcotest.(check string) (name ^ " digest") hex
+      (Digest.to_hex (Rules.digest rules))
+  in
+  let pairs m p d pd cut c b i =
+    [ ((Layer.Metal, Layer.Metal), m); ((Layer.Poly, Layer.Poly), p);
+      ((Layer.Diffusion, Layer.Diffusion), d);
+      ((Layer.Diffusion, Layer.Poly), pd);
+      ((Layer.Contact_cut, Layer.Contact_cut), cut);
+      ((Layer.Contact, Layer.Contact), c); ((Layer.Buried, Layer.Buried), b);
+      ((Layer.Implant, Layer.Implant), i) ]
+  in
+  check "default" Rules.default (pairs 3 2 3 1 2 2 2 2) 3
+    "3c63cd60cd1739fbad2316ada421419d";
+  check "tight" Rules.tight (pairs 2 1 2 1 1 1 1 1) 2
+    "979c7a739c262cce72963f864c26edb0"
+
 let () =
   Alcotest.run "rsg_compact"
     [ ("bellman",
@@ -681,7 +1080,15 @@ let () =
            test_bellman_negative_weights;
          Alcotest.test_case "sorted edge speedup" `Quick
            test_sorted_edge_speedup;
-         prop_worklist_matches_fixed ]);
+         prop_worklist_matches_fixed;
+         prop_solvers_agree_or_both_infeasible;
+         prop_worklist_visits_reference_order ]);
+      ("kernels",
+       [ Alcotest.test_case "golden constraints and solutions" `Quick
+           test_golden_kernels;
+         Alcotest.test_case "golden infeasibility witnesses" `Quick
+           test_golden_witnesses;
+         Alcotest.test_case "rule tables" `Quick test_rules_tables ]);
       ("constraints",
        [ Alcotest.test_case "fragmented bus (fig 6.5)" `Quick
            test_fragmented_bus;
@@ -690,7 +1097,8 @@ let () =
          Alcotest.test_case "contact enclosure" `Quick test_contact_enclosure;
          Alcotest.test_case "checker" `Quick test_checker_finds_violations;
          Alcotest.test_case "legal output" `Quick test_compaction_is_legal;
-         Alcotest.test_case "stretchable bus" `Quick test_stretchable_bus ]);
+         Alcotest.test_case "stretchable bus" `Quick test_stretchable_bus;
+         prop_sweep_matches_reference ]);
       ("slack",
        [ Alcotest.test_case "leftmost worsens jogs (fig 6.8)" `Quick
            test_leftmost_worsens_jog;

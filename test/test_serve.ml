@@ -448,6 +448,90 @@ let test_drain_completes_inflight () =
     Client.close c2;
     Alcotest.fail "connected to a drained daemon"
 
+(* ---- library readers on pipes ---------------------------------------- *)
+
+(* A reader must give the same value from a named pipe as from a
+   regular file at the same path: a writer thread feeds the FIFO while
+   [read] consumes it.  [read] renders the value canonically. *)
+let same_through_fifo what text read =
+  let path = Filename.temp_file "rsg-fifo" ".in" in
+  Out_channel.with_open_bin path (fun oc -> output_string oc text);
+  let regular = read path in
+  Sys.remove path;
+  Unix.mkfifo path 0o600;
+  let writer =
+    Thread.create
+      (fun () ->
+        try Out_channel.with_open_bin path (fun oc -> output_string oc text)
+        with Sys_error _ -> ())
+      ()
+  in
+  let piped =
+    Fun.protect
+      ~finally:(fun () ->
+        Thread.join writer;
+        Sys.remove path)
+      (fun () -> read path)
+  in
+  Alcotest.(check string) (what ^ " through a pipe") regular piped
+
+let test_readers_on_pipes () =
+  (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore with Invalid_argument _ -> ());
+  let module Cif = Rsg_layout.Cif in
+  let module Def = Rsg_layout.Def in
+  let cell =
+    (Rsg_pla.Gen.generate
+       (Rsg_pla.Truth_table.of_strings [ ("10-", "10"); ("0-1", "01") ]))
+      .Rsg_pla.Gen.cell
+  in
+  let top what = function
+    | Some c -> Cif.to_string c
+    | None -> Alcotest.fail (what ^ ": no top cell")
+  in
+  same_through_fifo "cif" (Cif.to_string cell) (fun p ->
+      top "cif" (Cif.read_file p).Cif.top);
+  same_through_fifo "def" (Def.to_string cell) (fun p ->
+      top "def" (Def.read_file p).Def.top);
+  same_through_fifo "param" "; personality\nsize=4\nrows=3\n" (fun p ->
+      let t = Rsg_lang.Param.parse_file p in
+      String.concat ";"
+        (List.map (fun (k, v) -> k ^ "=" ^ v) t.Rsg_lang.Param.directives
+        @ List.map
+            (fun (k, v) -> Format.asprintf "%s:%a" k Rsg_lang.Value.pp v)
+            t.Rsg_lang.Param.bindings));
+  same_through_fifo "deck"
+    (Rsg_drc.Deck.to_string
+       (Rsg_drc.Deck.of_compact_rules Rsg_compact.Rules.default))
+    (fun p -> Rsg_drc.Deck.to_string (Rsg_drc.Deck.read_file p));
+  same_through_fifo "codec"
+    (Rsg_store.Codec.encode ~label:"pla" cell)
+    (fun p ->
+      let e = Rsg_store.Codec.read_file p in
+      e.Rsg_store.Codec.e_label ^ "\n" ^ Cif.to_string e.Rsg_store.Codec.e_cell);
+  same_through_fifo "jobspec table" "10 110\n01 101\n" (fun p ->
+      match Jobspec.parse_line 1 ("p pla table=" ^ p) with
+      | Ok (Some j) ->
+        Rsg_store.Store.key_hex j.Rsg_store.Batch.j_key
+        ^ " " ^ j.Rsg_store.Batch.j_label
+      | Ok None -> Alcotest.fail "jobspec: no job"
+      | Error msg -> Alcotest.fail ("jobspec: " ^ msg));
+  same_through_fifo "jobspec target" (Cif.to_string cell) (fun p ->
+      match Jobspec.target_cell p with
+      | Ok c -> Cif.to_string c
+      | Error msg -> Alcotest.fail ("target: " ^ msg));
+  let srv = start () in
+  let c = connect srv in
+  same_through_fifo "serve lint"
+    "(macro mrow (n)\n  (mk_instance a tile)\n  (connect a b 1))\n"
+    (fun p ->
+      let r = rq c (request ~id:"l" "lint" [ ("spec", str p) ]) in
+      check_ok "lint" r;
+      match Json.member "result" r with
+      | Some v -> Json.to_string v
+      | None -> Alcotest.fail "lint: no result");
+  Client.close c;
+  stop srv
+
 let () =
   Alcotest.run "rsg_serve"
     [
@@ -459,6 +543,9 @@ let () =
         ] );
       ( "jobspec",
         [ Alcotest.test_case "manifest grammar" `Quick test_jobspec_grammar ] );
+      ( "pipes",
+        [ Alcotest.test_case "library readers read FIFOs" `Quick
+            test_readers_on_pipes ] );
       ( "protocol",
         [
           Alcotest.test_case "malformed frames" `Quick test_malformed_frames;
