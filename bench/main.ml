@@ -1524,16 +1524,14 @@ let e28 () =
   note "daemon says queue_full immediately instead of queueing unboundedly"
 
 (* ------------------------------------------------------------------ *)
-(* E29 (lib/compact): whole-structure hierarchical compaction.  Each   *)
-(* distinct prototype is condensed once (fanned across the domain      *)
-(* pool), cached artifacts replay on the warm path, and the stitch     *)
-(* re-legislates only inter-element spacing — so a fully abutted       *)
-(* builtin is the identity while a loose floorplan shrinks to the      *)
-(* rule-deck gap, DRC-clean and bit-identical at every domain count.   *)
+(* E29 (lib/compact): whole-structure hierarchical compaction.  Only  *)
+(* the effective root level is stitched: interior geometry never      *)
+(* moves, and the stitch re-legislates only inter-element spacing —   *)
+(* so a fully abutted builtin is the identity while a loose floorplan *)
+(* shrinks to the rule-deck gap, DRC-clean and deterministic.         *)
 
 let e29 () =
-  section "E29"
-    "hierarchical compaction: parallel condense, cached replay, stitch";
+  section "E29" "hierarchical compaction: the root-level stitch";
   let module H = Rsg_compact.Hcompact in
   let module Drc = Rsg_drc.Drc in
   let rules = Rsg_compact.Rules.default in
@@ -1568,56 +1566,34 @@ let e29 () =
   let violations cell =
     List.length (Drc.check_cell ~domains:1 cell).Drc.r_violations
   in
-  let nd = Rsg_par.Par.default_domains () in
-  let domain_counts = List.sort_uniq compare [ 1; 2; nd ] in
-  let warm_of r =
-    let tbl = Hashtbl.create 16 in
-    List.iter (fun (hex, p, _) -> Hashtbl.replace tbl hex p) r.H.hr_artifacts;
-    Hashtbl.find_opt tbl
-  in
   (* fully abutted builtins: compaction is the identity (no seam has
      slack), which is itself the correctness statement — interior
      geometry and designed abutments are never rewritten *)
   row "builtin structures (fully abutted: hier compaction is the identity)";
-  row "%-12s %6s %8s %7s | %9s %9s %6s | %7s %7s %5s" "layout" "protos"
-    "constrs" "k/sec" "area-in" "area-out" "drc" "cold-s" "warm-s" "same";
+  row "%-12s %6s %8s %7s | %9s %9s %6s | %7s %5s" "layout" "protos"
+    "constrs" "k/sec" "area-in" "area-out" "drc" "cold-s" "same";
   List.iter
     (fun (name, mk) ->
       let cell = mk () in
-      let cold_s = seconds (fun () -> ignore (H.hier ~domains:nd rules cell)) in
-      let per_domain =
-        List.map
-          (fun d -> fingerprint (H.hier ~domains:d rules cell).H.hr_cell)
-          domain_counts
-      in
-      let r = H.hier ~domains:nd rules cell in
+      let cold_s = seconds (fun () -> ignore (H.hier rules cell)) in
+      let r = H.hier rules cell in
       let s = r.H.hr_stats in
-      let warm_s =
-        seconds (fun () ->
-            ignore (H.hier ~domains:nd ~cached:(warm_of r) rules cell))
-      in
-      let rw = H.hier ~domains:nd ~cached:(warm_of r) rules cell in
+      (* a second run on a freshly generated copy of the input *)
       let same =
-        (match per_domain with
-        | [] -> true
-        | f :: rest -> List.for_all (( = ) f) rest)
-        && fingerprint rw.H.hr_cell = List.hd per_domain
-        && rw.H.hr_stats.H.hs_reused = rw.H.hr_stats.H.hs_protos
+        fingerprint (H.hier rules (mk ())).H.hr_cell = fingerprint r.H.hr_cell
       in
-      let constrs = s.H.hs_internal_constraints + s.H.hs_stitch_constraints in
+      let constrs = s.H.hs_stitch_constraints in
       let drc_out = violations r.H.hr_cell in
-      row "%-12s %6d %8d %7.0f | %9d %9d %6d | %7.4f %7.4f %5b" name
+      row "%-12s %6d %8d %7.0f | %9d %9d %6d | %7.4f %5b" name
         s.H.hs_protos constrs
         (float_of_int constrs /. max cold_s 1e-9 /. 1e3)
-        s.H.hs_area_before s.H.hs_area_after drc_out cold_s warm_s same;
+        s.H.hs_area_before s.H.hs_area_after drc_out cold_s same;
       json_int (name ^ ".protos") s.H.hs_protos;
       json_int (name ^ ".constraints") constrs;
       json_int (name ^ ".area_before") s.H.hs_area_before;
       json_int (name ^ ".area_after") s.H.hs_area_after;
       json_int (name ^ ".drc_out") drc_out;
       json_num (name ^ ".cold_s") cold_s;
-      json_num (name ^ ".warm_s") warm_s;
-      json_int (name ^ ".warm_reused") rw.H.hr_stats.H.hs_reused;
       json_bool (name ^ ".identical") same)
     builtins;
   row "";
@@ -1626,8 +1602,8 @@ let e29 () =
   row "loose floorplans (2 copies, gap 2000, y off 17): stitch shrinks to";
   row "the deck gap; flat compact_xy shown for scale (it may rewrite";
   row "interiors, hier never does)";
-  row "%-16s %9s %9s %7s | %9s %9s | %7s %7s %8s" "chip" "area-in" "area-out"
-    "shrunk" "flat-xy" "flat-s" "cold-s" "warm-s" "reused";
+  row "%-16s %9s %9s %7s | %9s %9s | %7s %7s" "chip" "area-in" "area-out"
+    "shrunk" "flat-xy" "flat-s" "cold-s" "drc-out";
   List.iter
     (fun (name, mk) ->
       let cell = mk () in
@@ -1644,12 +1620,8 @@ let e29 () =
           (Cell.add_instance chip ~at:(Vec.make (Box.width bb + 2000) 17) cell);
         chip
       in
-      let cold_s, r = time_once (fun () -> H.hier ~domains:nd rules (chip ())) in
+      let cold_s, r = time_once (fun () -> H.hier rules (chip ())) in
       let s = r.H.hr_stats in
-      let warm_s, rw =
-        time_once (fun () ->
-            H.hier ~domains:nd ~cached:(warm_of r) rules (chip ()))
-      in
       (* the greedy flat compactor can emit a contradictory system on
          structures the hierarchical stitch handles (it re-derives
          every interior constraint from scratch); report that rather
@@ -1669,12 +1641,9 @@ let e29 () =
       in
       let shrunk = s.H.hs_area_after < s.H.hs_area_before in
       let drc_out = violations r.H.hr_cell in
-      row "%-16s %9d %9d %7b | %9s %9.3f | %7.3f %7.3f %4d/%-3d"
-        (name ^ "-chip") s.H.hs_area_before s.H.hs_area_after shrunk flat_area
-        flat_s cold_s warm_s rw.H.hr_stats.H.hs_reused
-        rw.H.hr_stats.H.hs_protos;
-      row "%-16s drc-out %d  warm identical %b" "" drc_out
-        (fingerprint rw.H.hr_cell = fingerprint r.H.hr_cell);
+      row "%-16s %9d %9d %7b | %9s %9.3f | %7.4f %7d" (name ^ "-chip")
+        s.H.hs_area_before s.H.hs_area_after shrunk flat_area flat_s cold_s
+        drc_out;
       json_int (name ^ "-chip.area_before") s.H.hs_area_before;
       json_int (name ^ "-chip.area_after") s.H.hs_area_after;
       (match flat with
@@ -1683,14 +1652,12 @@ let e29 () =
       | None -> json_str (name ^ "-chip.flat_xy_area") "infeasible");
       json_int (name ^ "-chip.drc_out") drc_out;
       json_num (name ^ "-chip.cold_s") cold_s;
-      json_num (name ^ "-chip.warm_s") warm_s;
       json_num (name ^ "-chip.flat_xy_s") flat_s;
       json_bool (name ^ "-chip.shrunk") shrunk)
     builtins;
-  note "condensation is per distinct prototype and order-independent,";
-  note "so the result is bit-identical at every domain count; the warm";
-  note "path replays every cached artifact (reused = protos) and skips";
-  note "constraint generation entirely"
+  note "constrs counts the stitch's last x + y round only: no prototype's";
+  note "interior system is generated, so the stitch is the whole cost and";
+  note "the result does not depend on the domain count"
 
 (* E30 (lib/erc): static electrical rule checking.  One verdict per   *)
 (* distinct prototype, content-addressed by subtree hash; the warm    *)
@@ -1914,8 +1881,8 @@ let e31 () =
   note "evaluation cache (warm# = evaluations actually computed).";
   note "chains are pure functions of (seed, index), so the best layout";
   note "is bit-identical at every domain count; a candidate's cost is";
-  note "its Hcompact.hier solve, mostly re-condensing the root's full";
-  note "flat layout, and past 2 domains the 2 chains add nothing"
+  note "generating its layout plus the Hcompact.hier stitch of its root";
+  note "level, and past 2 domains the 2 chains add nothing"
 
 let sections =
   [ ("E1", e1); ("E2", e2); ("E3", e3); ("E4", e4); ("E5", e5); ("E6", e6);

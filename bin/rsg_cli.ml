@@ -445,7 +445,7 @@ let generate design params sample_path out stats lint drc erc domains store
   let post c =
     if not compact then c
     else
-      match Rsg_compact.Hcompact.hier ?domains Rsg_compact.Rules.default c with
+      match Rsg_compact.Hcompact.hier Rsg_compact.Rules.default c with
       | r ->
         Format.printf "hier: area %d -> %d (%d prototypes)@."
           r.Rsg_compact.Hcompact.hr_stats.Rsg_compact.Hcompact.hs_area_before
@@ -939,64 +939,23 @@ let masks_cmd =
 
 module Hcompact = Rsg_compact.Hcompact
 
-(* Hierarchical compaction with the per-prototype artifact cache: a
-   previous entry under the same stem is harvested and its condensed
-   constraint graphs (matching this rule deck's digest) replayed, so
-   only prototypes whose subtree digest changed are re-generated; the
-   run's own artifacts are saved back for the next edit. *)
-let hier_compact ?domains ~cache ~slack ~source cell =
-  let rules = Rsg_compact.Rules.default in
-  let rules_digest = Rsg_compact.Rules.digest rules in
-  let run =
-    Store.Cached.start ~log:Format.std_formatter ~stem:("compact:" ^ source)
-      (Option.map Store.open_ cache)
-  in
-  Store.Cached.harvest run;
+let hier_compact ~slack cell =
   let r =
-    Hcompact.hier ?domains ~distribute_slack:slack
-      ~cached:(Store.Cached.replay run (fun p -> p.Codec.p_compacts) rules_digest)
-      rules cell
+    Hcompact.hier ~distribute_slack:slack Rsg_compact.Rules.default cell
   in
   let s = r.Hcompact.hr_stats in
-  Format.printf
-    "hier: %d prototypes (%d reused), %d internal + %d stitch constraints@."
-    s.Hcompact.hs_protos s.Hcompact.hs_reused s.Hcompact.hs_internal_constraints
-    s.Hcompact.hs_stitch_constraints;
+  Format.printf "hier: %d prototypes, %d stitch constraints@."
+    s.Hcompact.hs_protos s.Hcompact.hs_stitch_constraints;
   Format.printf "hier: area %d -> %d (%d elements, %d clusters, %d rounds)@."
     s.Hcompact.hs_area_before s.Hcompact.hs_area_after s.Hcompact.hs_elements
     s.Hcompact.hs_clusters s.Hcompact.hs_rounds;
-  let protos = lazy (Flatten.prototypes cell) in
-  ignore
-    (Store.Cached.save run
-       (* content-addressed on the input geometry (root subtree
-          digest), not the file path — the path is the stem *)
-       (lazy
-         (let p = Lazy.force protos in
-          Store.key ~deck:(Digest.to_hex rules_digest)
-            ~design:(Flatten.subtree_hex p (Flatten.protos_root p))
-            ~params:"hier-compact" ()))
-       ~label:("compact " ^ Filename.basename source)
-       ~reused:(fun hex ->
-         List.exists
-           (fun (h, _, reused) -> h = hex && reused)
-           r.Hcompact.hr_artifacts)
-       ~compacts:
-         (Store.Cached.by_hex rules_digest
-            (List.map (fun (h, pa, _) -> (h, pa)) r.Hcompact.hr_artifacts))
-       protos cell);
   r
 
-let compact path from_db out slack hier cache domains drc obs =
+let compact path from_db out slack hier domains drc obs =
   with_obs obs @@ fun () ->
   let cell = utility_cell "compact" path from_db in
-  let source =
-    match (path, from_db) with
-    | Some p, _ | None, Some p -> p
-    | None, None -> "-"
-  in
   match
-    if hier then
-      (hier_compact ?domains ~cache ~slack ~source cell).Hcompact.hr_cell
+    if hier then (hier_compact ~slack cell).Hcompact.hr_cell
     else begin
       let compacted, r =
         Rsg_compact.Compactor.compact_cell ~distribute_slack:slack
@@ -1025,21 +984,9 @@ let hier_flag =
     value & flag
     & info [ "hier" ]
         ~doc:
-          "Whole-structure hierarchical compaction: condense each distinct \
-           prototype's constraint graphs once (in parallel across the domain \
-           pool), then stitch the instance abstractions with inter-instance \
-           spacing constraints.  Bit-identical at every --domains value.")
-
-let compact_cache_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "cache" ] ~docv:"DIR"
-        ~doc:
-          "With --hier: persist each prototype's condensed constraint graphs \
-           keyed by subtree hash + rule deck, and replay artifacts harvested \
-           from the previous run of the same input, so an edit recompacts \
-           only the dirty prototypes.")
+          "Whole-structure hierarchical compaction: keep every prototype's \
+           interior geometry and stitch the instance abstractions of the \
+           effective root level with inter-instance spacing constraints.")
 
 let compact_cmd =
   Cmd.v
@@ -1048,7 +995,7 @@ let compact_cmd =
       const compact
       $ Arg.(value & pos 0 (some file) None & info [] ~docv:"FILE")
       $ from_db_arg $ out_arg "compacted.cif" $ slack_flag $ hier_flag
-      $ compact_cache_arg $ domains_term $ drc_flag $ obs_term)
+      $ domains_term $ drc_flag $ obs_term)
 
 (* ---- drc ----------------------------------------------------------- *)
 
@@ -1201,7 +1148,7 @@ let place target blocks out stats seed iters chains strategy cache json domains
       base_cell
   in
   let best = Rsg_search.Place_opt.cell r.Anneal.r_best in
-  match Hcompact.hier ?domains rules best with
+  match Hcompact.hier rules best with
   | exception Rsg_compact.Bellman.Infeasible cycle ->
     Format.eprintf "compaction infeasible: %a@." Rsg_compact.Bellman.pp_witness
       cycle;

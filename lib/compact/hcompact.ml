@@ -4,63 +4,7 @@ module Flatten = Rsg_layout.Flatten
 module Transform = Rsg_geom.Transform
 module Obs = Rsg_obs.Obs
 
-(* ---- serialised constraint systems -------------------------------- *)
-
-type cgraph = {
-  cg_nv : int;
-  cg_inits : int array;
-  cg_cons : Cgraph.constr array;
-}
-
-let cgraph_of_graph g =
-  let src, dst, gap = Cgraph.edges g in
-  { cg_nv = Cgraph.n_vars g;
-    cg_inits = Array.init (Cgraph.n_vars g) (Cgraph.init_value g);
-    cg_cons =
-      Array.init (Cgraph.n_constraints g) (fun i ->
-          { Cgraph.c_from = src.(i); c_to = dst.(i); c_gap = gap.(i) }) }
-
-let graph_of_cgraph cg =
-  let g = Cgraph.create () in
-  for v = 1 to cg.cg_nv - 1 do
-    ignore (Cgraph.fresh_var g ~init:cg.cg_inits.(v) ())
-  done;
-  Array.iter
-    (fun (c : Cgraph.constr) ->
-      Cgraph.add_ge g ~from:c.Cgraph.c_from ~to_:c.Cgraph.c_to
-        ~gap:c.Cgraph.c_gap)
-    cg.cg_cons;
-  g
-
-type pabs = {
-  pa_wmin : int;
-  pa_hmin : int;
-  pa_cx : cgraph;
-  pa_cy : cgraph;
-}
-
-let pabs_constraints p =
-  Array.length p.pa_cx.cg_cons + Array.length p.pa_cy.cg_cons
-
-(* ---- phase 1: condense one prototype ------------------------------ *)
-
-(* Leftmost packing pins the origin at 0 and every left edge at >= 0,
-   so the packed extent is simply the largest solved abscissa. *)
-let packed_extent values = Array.fold_left max 0 values
-
-let condense rules (items : Scanline.item array) =
-  let gx = Scanline.generate rules Scanline.Visibility items in
-  let wmin = packed_extent (Bellman.solve gx.Scanline.graph).Bellman.values in
-  let gy =
-    Scanline.generate rules Scanline.Visibility (Scanline.transpose items)
-  in
-  let hmin = packed_extent (Bellman.solve gy.Scanline.graph).Bellman.values in
-  { pa_wmin = wmin;
-    pa_hmin = hmin;
-    pa_cx = cgraph_of_graph gx.Scanline.graph;
-    pa_cy = cgraph_of_graph gy.Scanline.graph }
-
-(* ---- phase 2: the stitch level ------------------------------------ *)
+(* ---- the stitch level ---------------------------------------------- *)
 
 (* The interface shell of a prototype: every box within [horizon] of
    its bounding-box edge, i.e. the left/right/top/bottom profile that
@@ -290,8 +234,6 @@ let stitch_axis rules ~distribute_slack ~names ~cluster (bb : Box.t array)
 
 type stats = {
   hs_protos : int;
-  hs_reused : int;
-  hs_internal_constraints : int;
   hs_stitch_constraints : int;
   hs_stitch_passes : int;
   hs_stitch_relaxations : int;
@@ -300,13 +242,11 @@ type stats = {
   hs_rounds : int;
   hs_area_before : int;
   hs_area_after : int;
-  hs_pitch : (string * int * int) list;
 }
 
 type result = {
   hr_cell : Cell.t;
   hr_stats : stats;
-  hr_artifacts : (string * pabs * bool) list;
 }
 
 (* Wrapper cells (no own boxes, exactly one instance) contribute no
@@ -325,41 +265,10 @@ let union_bbox (bb : Box.t array) =
 
 let area_of = function None -> 0 | Some b -> Box.area b
 
-let hier ?domains ?(distribute_slack = false) ?(max_rounds = 8)
-    ?(cached = fun _ -> None) rules root =
+let hier ?domains:_ ?(distribute_slack = false) ?(max_rounds = 8) rules root =
   Obs.span "hcompact" @@ fun () ->
   let protos = Flatten.prototypes root in
-  (* ---- phase 1: one condensation per distinct subtree digest ------ *)
-  let order = Array.of_list (Flatten.protos_order protos) in
-  let items =
-    Array.map
-      (fun c -> lazy (Scanline.items_of_flat (Flatten.proto_flat protos c)))
-      order
-  in
-  let results =
-    Obs.span "hcompact.condense" (fun () ->
-        Flatten.cached_map ?domains ~cached
-          ~prepare:(fun i -> ignore (Lazy.force items.(i)))
-          ~compute:(fun i -> condense rules (Lazy.force items.(i)))
-          protos)
-  in
-  (* congruent celltypes share their representative's artifact *)
-  let rep = Flatten.representatives protos in
-  let artifacts =
-    List.filter_map
-      (fun i ->
-        if rep.(i) <> i then None
-        else
-          let p, reused = results.(i) in
-          Some (order.(i), Flatten.subtree_hex protos order.(i), p, reused))
-      (List.init (Array.length order) Fun.id)
-  in
-  let reused =
-    List.fold_left (fun a (_, _, _, r) -> if r then a + 1 else a) 0 artifacts
-  in
-  Obs.count ~n:(List.length artifacts - reused) "hcompact.condensed";
-  if reused > 0 then Obs.count ~n:reused "hcompact.reused";
-  (* ---- phase 2: stitch the effective root level ------------------- *)
+  (* ---- stitch the effective root level ---------------------------- *)
   let horizon = Rules.max_spacing rules in
   let lvl = stitch_level root in
   let shell_cache = Hashtbl.create 32 in
@@ -521,20 +430,13 @@ let hier ?domains ?(distribute_slack = false) ?(max_rounds = 8)
       | _ -> rebuilt_level
   in
   let out = rebuild_chain root in
-  let pitch =
-    List.map
-      (fun (c, _, p, _) -> (c.Cell.cname, p.pa_wmin, p.pa_hmin))
-      artifacts
-  in
-  let internal =
-    List.fold_left (fun a (_, _, p, _) -> a + pabs_constraints p) 0 artifacts
-  in
-  Obs.count ~n:internal "hcompact.internal_constraints";
+  (* congruent celltypes are one prototype *)
+  let rep = Flatten.representatives protos in
+  let n_protos = ref 0 in
+  Array.iteri (fun i r -> if r = i then incr n_protos) rep;
   { hr_cell = out;
     hr_stats =
-      { hs_protos = List.length artifacts;
-        hs_reused = reused;
-        hs_internal_constraints = internal;
+      { hs_protos = !n_protos;
         hs_stitch_constraints = !last_constraints;
         hs_stitch_passes = !passes;
         hs_stitch_relaxations = !relaxations;
@@ -542,6 +444,4 @@ let hier ?domains ?(distribute_slack = false) ?(max_rounds = 8)
         hs_clusters = !last_clusters;
         hs_rounds = !rounds;
         hs_area_before = area_before;
-        hs_area_after = area_after;
-        hs_pitch = pitch };
-    hr_artifacts = List.map (fun (_, hex, p, r) -> (hex, p, r)) artifacts }
+        hs_area_after = area_after } }

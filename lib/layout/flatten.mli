@@ -121,8 +121,8 @@ val cached_map :
   compute:(int -> 'a) ->
   protos ->
   ('a * bool) array
-(** Runs every per-prototype pass (hierarchical DRC, ERC verdicts,
-    compaction condensation).  Per index [i] of
+(** Runs every per-prototype pass (hierarchical DRC levels and ERC
+    verdicts).  Per index [i] of
     {!protos_order}, the result holds the pass's value and whether it
     was replayed.  Each distinct subtree digest is looked up once in
     [cached] (by {!subtree_hex}) and, on a miss, computed once, for

@@ -18,9 +18,6 @@ type state = {
   sample : Sample.t;
       (* private scratch library: generate_fold registers every
          candidate cell in its db, so chains must not share one *)
-  artifacts : (string, H.pabs) Hashtbl.t;
-      (* per-prototype condensations accumulated across candidates —
-         only prototypes a move actually changed get re-condensed *)
 }
 
 type move =
@@ -51,7 +48,6 @@ let make ?(rules = Rules.default) tt =
     pairs = greedy;
     paired;
     sample = fst (Pla_cells.build ());
-    artifacts = Hashtbl.create 64;
   }
 
 let pairs st = canon st.pairs
@@ -126,17 +122,7 @@ let digest st =
 
 let evaluate st =
   let t = Folding.generate_fold ~sample:st.sample st.tt (fold_of st) in
-  try
-    let res =
-      H.hier ~domains:1
-        ~cached:(Hashtbl.find_opt st.artifacts)
-        st.rules t.Folding.cell
-    in
-    List.iter
-      (fun (h, pa, _) ->
-        if not (Hashtbl.mem st.artifacts h) then Hashtbl.add st.artifacts h pa)
-      res.H.hr_artifacts;
-    res.H.hr_stats.H.hs_area_after
+  try (H.hier st.rules t.Folding.cell).H.hr_stats.H.hs_area_after
   with Rsg_compact.Bellman.Infeasible _ -> max_int
 
 let copy st =
@@ -145,7 +131,6 @@ let copy st =
     pairs = st.pairs;
     paired = Array.copy st.paired;
     sample = fst (Pla_cells.build ());
-    artifacts = Hashtbl.copy st.artifacts;
   }
 
 let problem : (state, move) Anneal.problem =

@@ -8,9 +8,7 @@
     {!Rsg_pla.Folding.disjoint} and {!Rsg_pla.Folding.acyclic} so
     every reachable state is a realisable fold.  Cost is the compacted
     area of the folded plane under
-    {!Rsg_compact.Hcompact.hier}; per-prototype condensations are
-    accumulated in the state so a candidate only re-condenses the
-    prototypes its move changed. *)
+    {!Rsg_compact.Hcompact.hier}. *)
 
 type state
 

@@ -20,7 +20,6 @@ type state = {
   pitch : int;
   slot : int array;      (* block -> slot index, all distinct *)
   orient_ix : int array; (* block -> index into Orient.rotations *)
-  artifacts : (string, H.pabs) Hashtbl.t;
 }
 
 type move =
@@ -61,7 +60,6 @@ let make ?(rules = Rules.default) blocks =
        heuristic the chip generators use, i.e. the greedy baseline *)
     slot = Array.init nb Fun.id;
     orient_ix = Array.make nb 0;
-    artifacts = Hashtbl.create 64;
   }
 
 let cell_of st =
@@ -92,17 +90,7 @@ let digest st =
   Digest.string (Buffer.contents b)
 
 let evaluate st =
-  try
-    let res =
-      H.hier ~domains:1
-        ~cached:(Hashtbl.find_opt st.artifacts)
-        st.rules (cell_of st)
-    in
-    List.iter
-      (fun (h, pa, _) ->
-        if not (Hashtbl.mem st.artifacts h) then Hashtbl.add st.artifacts h pa)
-      res.H.hr_artifacts;
-    res.H.hr_stats.H.hs_area_after
+  try (H.hier st.rules (cell_of st)).H.hr_stats.H.hs_area_after
   with Rsg_compact.Bellman.Infeasible _ -> max_int
 
 let moves st =
@@ -150,7 +138,6 @@ let copy st =
     st with
     slot = Array.copy st.slot;
     orient_ix = Array.copy st.orient_ix;
-    artifacts = Hashtbl.copy st.artifacts;
   }
 
 let problem : (state, move) Anneal.problem =

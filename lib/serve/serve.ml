@@ -388,13 +388,12 @@ let erc_work srv spec () =
 
 (* hierarchical compaction of a builtin or batch-spec target; the
    witness of an infeasible system is the job error, not a crash *)
-let compact_work srv spec () =
+let compact_work spec () =
   match Jobspec.target_cell spec with
   | Error msg -> Error (Protocol.Bad_request msg)
   | Ok cell -> (
     match
-      Rsg_compact.Hcompact.hier ~domains:srv.cfg.job_domains
-        Rsg_compact.Rules.default cell
+      Rsg_compact.Hcompact.hier Rsg_compact.Rules.default cell
     with
     | r ->
       let s = r.Rsg_compact.Hcompact.hr_stats in
@@ -402,9 +401,6 @@ let compact_work srv spec () =
         (Json.Obj
            [
              ("protos", Json.Int s.Rsg_compact.Hcompact.hs_protos);
-             ("reused", Json.Int s.Rsg_compact.Hcompact.hs_reused);
-             ( "internal_constraints",
-               Json.Int s.Rsg_compact.Hcompact.hs_internal_constraints );
              ( "stitch_constraints",
                Json.Int s.Rsg_compact.Hcompact.hs_stitch_constraints );
              ("elements", Json.Int s.Rsg_compact.Hcompact.hs_elements);
@@ -628,7 +624,7 @@ let dispatch srv conn (req : Protocol.request) =
         | Protocol.Drc { spec } -> dispatch_direct srv w (drc_work srv spec)
         | Protocol.Erc { spec } -> dispatch_direct srv w (erc_work srv spec)
         | Protocol.Compact { spec } ->
-          dispatch_direct srv w (compact_work srv spec)
+          dispatch_direct srv w (compact_work spec)
         | Protocol.Place { spec; blocks; seed; iters; chains } ->
           dispatch_direct srv w
             (place_work srv spec ~blocks ~seed ~iters ~chains)

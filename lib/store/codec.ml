@@ -1,12 +1,10 @@
 open Rsg_geom
 open Rsg_layout
 module Drc = Rsg_drc.Drc
-module Hcompact = Rsg_compact.Hcompact
-module Cgraph = Rsg_compact.Cgraph
 module Diag = Rsg_lint.Diag
 module Erc = Rsg_erc.Erc
 
-let format_version = 5
+let format_version = 6
 
 let magic = "RSGL"
 
@@ -34,7 +32,6 @@ type proto = {
   p_cell : Cell.t;
   p_reused : bool;
   p_reports : (string * Drc.cached_level) list;
-  p_compacts : (string * Hcompact.pabs) list;
   p_ercs : (string * Erc.cached_verdict) list;
   p_places : (string * int) list;
 }
@@ -316,34 +313,6 @@ let put_level buf (l : Drc.cached_level) =
   put_uint buf l.Drc.cl_distinct;
   put_uint buf l.Drc.cl_boxes
 
-(* ---- condensed compaction artifacts (version 3) ------------------ *)
-(*
-   A serialised difference-constraint system plus its solved pitch
-   bounds, keyed by rule-deck digest: what Hcompact.hier needs to skip
-   constraint generation on a warm run.  Variable 0 is the origin, so
-   inits start at variable 1; constraint endpoints are plain variable
-   indices, gaps are signed (rigid-width back edges).
-*)
-
-let put_cgraph buf (cg : Hcompact.cgraph) =
-  put_uint buf cg.Hcompact.cg_nv;
-  for v = 1 to cg.Hcompact.cg_nv - 1 do
-    put_int buf cg.Hcompact.cg_inits.(v)
-  done;
-  put_uint buf (Array.length cg.Hcompact.cg_cons);
-  Array.iter
-    (fun (c : Cgraph.constr) ->
-      put_uint buf c.Cgraph.c_from;
-      put_uint buf c.Cgraph.c_to;
-      put_int buf c.Cgraph.c_gap)
-    cg.Hcompact.cg_cons
-
-let put_pabs buf (p : Hcompact.pabs) =
-  put_uint buf p.Hcompact.pa_wmin;
-  put_uint buf p.Hcompact.pa_hmin;
-  put_cgraph buf p.Hcompact.pa_cx;
-  put_cgraph buf p.Hcompact.pa_cy
-
 (* ---- cached ERC verdicts (version 4) ----------------------------- *)
 (*
    Per-prototype electrical verdicts, keyed by the ERC config digest
@@ -396,12 +365,6 @@ let put_proto buf index_of (p : proto) =
       put_raw16 buf deck;
       put_level buf lvl)
     p.p_reports;
-  put_uint buf (List.length p.p_compacts);
-  List.iter
-    (fun (rules, pa) ->
-      put_raw16 buf rules;
-      put_pabs buf pa)
-    p.p_compacts;
   put_uint buf (List.length p.p_ercs);
   List.iter
     (fun (cfg, v) ->
@@ -425,8 +388,7 @@ let put_protos buf protos =
   Array.iter (put_proto buf index_of) protos
 
 let proto_table ?(reused = fun _ -> false) ?(reports = fun _ -> [])
-    ?(compacts = fun _ -> []) ?(ercs = fun _ -> []) ?(places = fun _ -> [])
-    (protos : Flatten.protos) =
+    ?(ercs = fun _ -> []) ?(places = fun _ -> []) (protos : Flatten.protos) =
   let tbl : (string, Cell.t) Hashtbl.t = Hashtbl.create 32 in
   let out = ref [] in
   List.iter
@@ -452,8 +414,8 @@ let proto_table ?(reused = fun _ -> false) ?(reports = fun _ -> [])
         Hashtbl.add tbl h copy;
         out :=
           { p_hash = h; p_cell = copy; p_reused = reused hex;
-            p_reports = reports hex; p_compacts = compacts hex;
-            p_ercs = ercs hex; p_places = places hex }
+            p_reports = reports hex; p_ercs = ercs hex;
+            p_places = places hex }
           :: !out
       end)
     (Flatten.protos_order protos);
@@ -594,32 +556,6 @@ let get_level r =
   let cl_boxes = get_uint r "level boxes" in
   { Drc.cl_violations; cl_contexts; cl_distinct; cl_boxes }
 
-let get_cgraph r =
-  let nv = get_uint r "cgraph variable count" in
-  if nv < 1 then raise (Error (Malformed "cgraph without origin"));
-  let inits = Array.make nv 0 in
-  for v = 1 to nv - 1 do
-    inits.(v) <- get_int r "cgraph init"
-  done;
-  let nc = get_uint r "cgraph constraint count" in
-  let cons =
-    Array.init nc (fun _ ->
-        let c_from = get_uint r "constraint from" in
-        let c_to = get_uint r "constraint to" in
-        if c_from >= nv || c_to >= nv then
-          raise (Error (Malformed "constraint variable out of range"));
-        let c_gap = get_int r "constraint gap" in
-        { Cgraph.c_from; c_to; c_gap })
-  in
-  { Hcompact.cg_nv = nv; cg_inits = inits; cg_cons = cons }
-
-let get_pabs r =
-  let pa_wmin = get_uint r "pabs wmin" in
-  let pa_hmin = get_uint r "pabs hmin" in
-  let pa_cx = get_cgraph r in
-  let pa_cy = get_cgraph r in
-  { Hcompact.pa_wmin; pa_hmin; pa_cx; pa_cy }
-
 let get_opt r what f =
   match get_uint r what with
   | 0 -> None
@@ -659,8 +595,8 @@ let get_verdict r =
   { Erc.cv_nets; cv_devices; cv_open; cv_rails; cv_diags }
 
 (* [on_record] feeds the section accounting of {!sections}: byte spans
-   of each record's geometry / DRC-report / constraint-graph parts,
-   measured from the reader position. *)
+   of each record's geometry / DRC-report / ERC-verdict / place-eval
+   parts, measured from the reader position. *)
 let get_protos ?on_record r =
   let n = get_uint r "proto count" in
   let cells = Array.make (max n 1) (Cell.create "") in
@@ -680,37 +616,29 @@ let get_protos ?on_record r =
           (deck, get_level r))
     in
     let p2 = r.pos in
-    let n_compacts = get_uint r "proto compact count" in
-    let compacts =
-      read_list n_compacts (fun () ->
-          let rules = get_raw16 r "compact rules digest" in
-          (rules, get_pabs r))
-    in
-    let p3 = r.pos in
     let n_ercs = get_uint r "proto erc count" in
     let ercs =
       read_list n_ercs (fun () ->
           let cfg = get_raw16 r "erc config digest" in
           (cfg, get_verdict r))
     in
-    let p4 = r.pos in
+    let p3 = r.pos in
     let n_places = get_uint r "proto place count" in
     let places =
       read_list n_places (fun () ->
           let key = get_raw16 r "place eval key" in
           (key, get_uint r "place eval area"))
     in
-    let p5 = r.pos in
+    let p4 = r.pos in
     (match on_record with
     | Some f ->
       f ~geometry:(p1 - p0) ~reports:(p2 - p1, n_reports)
-        ~compacts:(p3 - p2, n_compacts) ~ercs:(p4 - p3, n_ercs)
-        ~places:(p5 - p4, n_places)
+        ~ercs:(p3 - p2, n_ercs) ~places:(p4 - p3, n_places)
     | None -> ());
     out.(i) <-
       Some
         { p_hash = hash; p_cell = c; p_reused = reused; p_reports = reports;
-          p_compacts = compacts; p_ercs = ercs; p_places = places }
+          p_ercs = ercs; p_places = places }
   done;
   Array.map Option.get out
 
@@ -866,8 +794,8 @@ let decode_protos s =
 type section = { s_name : string; s_bytes : int; s_entries : int }
 
 (* Per-section byte/entry accounting of one encoded entry.  The proto
-   table interleaves geometry, DRC reports and constraint graphs per
-   record, so the split is measured from reader positions while
+   table interleaves geometry, DRC reports, ERC verdicts and place
+   evals per record, so the split is measured from reader positions while
    decoding; the cell table has no length prefix and must be walked;
    the flat section is length-prefixed, so only its box count is
    peeked at. *)
@@ -876,19 +804,16 @@ let sections s =
   let p0 = r.pos in
   ignore (get_str r "label");
   let label_bytes = r.pos - p0 in
-  let geo = ref 0 and rep = ref 0 and comp = ref 0 and erc = ref 0 in
-  let plc = ref 0 in
-  let n_rep = ref 0 and n_comp = ref 0 and n_erc = ref 0 and n_plc = ref 0 in
+  let geo = ref 0 and rep = ref 0 and erc = ref 0 and plc = ref 0 in
+  let n_rep = ref 0 and n_erc = ref 0 and n_plc = ref 0 in
   let p1 = r.pos in
   let protos =
     get_protos
-      ~on_record:(fun ~geometry ~reports:(rb, rn) ~compacts:(cb, cn)
-                      ~ercs:(eb, en) ~places:(pb, pn) ->
+      ~on_record:(fun ~geometry ~reports:(rb, rn) ~ercs:(eb, en)
+                      ~places:(pb, pn) ->
         geo := !geo + geometry;
         rep := !rep + rb;
         n_rep := !n_rep + rn;
-        comp := !comp + cb;
-        n_comp := !n_comp + cn;
         erc := !erc + eb;
         n_erc := !n_erc + en;
         plc := !plc + pb;
@@ -896,7 +821,7 @@ let sections s =
       r
   in
   (* the proto-count varint itself *)
-  let table_overhead = r.pos - p1 - !geo - !rep - !comp - !erc - !plc in
+  let table_overhead = r.pos - p1 - !geo - !rep - !erc - !plc in
   let p2 = r.pos in
   let n_cells = get_uint r "cell count" in
   let cells = Array.make (max n_cells 1) (Cell.create "") in
@@ -925,7 +850,6 @@ let sections s =
       s_bytes = !geo + table_overhead;
       s_entries = Array.length protos };
     { s_name = "drc reports"; s_bytes = !rep; s_entries = !n_rep };
-    { s_name = "constraint graphs"; s_bytes = !comp; s_entries = !n_comp };
     { s_name = "erc verdicts"; s_bytes = !erc; s_entries = !n_erc };
     { s_name = "place evals"; s_bytes = !plc; s_entries = !n_plc };
     { s_name = "cell table"; s_bytes = cell_bytes; s_entries = n_cells };

@@ -42,13 +42,6 @@
     cheap.  Version-1 files fail decoding with [Bad_version] — the
     store treats them as stale misses, never mis-decodes them.
 
-    Version 3 extends each prototype record with its {e condensed
-    compaction artifacts} ({!Rsg_compact.Hcompact.pabs}): the internal
-    x/y difference-constraint systems and solved pitch bounds, keyed
-    by rule-deck digest ({!Rsg_compact.Rules.digest}).  A warm
-    [rsg compact --hier --cache] run harvests them and skips
-    constraint generation for every unchanged prototype.
-
     Version 4 extends each prototype record with its {e cached ERC
     verdicts} ({!Rsg_erc.Erc.cached_verdict}): per-level electrical
     censuses plus the root's diagnostic list, keyed by the ERC
@@ -65,7 +58,13 @@
     [pla --fold-opt --cache] run replays every previously scored
     candidate instead of re-running the compactor.  Version-4 files
     fail decoding with [Bad_version] and the store treats them as
-    stale clean misses. *)
+    stale clean misses.
+
+    Version 6 drops the per-record compaction section that versions
+    3–5 carried: hierarchical compaction only stitches the root level,
+    so interior constraint graphs are neither built nor stored.  Every
+    older file fails decoding with [Bad_version] and the store treats
+    it as a stale clean miss. *)
 
 open Rsg_layout
 
@@ -101,10 +100,6 @@ type proto = {
   p_reports : (string * Rsg_drc.Drc.cached_level) list;
       (** hierarchical DRC results for this prototype, keyed by raw
           16-byte rule-deck digest ({!Rsg_drc.Deck.digest}) *)
-  p_compacts : (string * Rsg_compact.Hcompact.pabs) list;
-      (** condensed compaction artifacts — internal constraint graphs
-          and pitch bounds — keyed by raw 16-byte compaction rule-deck
-          digest ({!Rsg_compact.Rules.digest}) *)
   p_ercs : (string * Rsg_erc.Erc.cached_verdict) list;
       (** cached electrical verdicts, keyed by raw 16-byte ERC
           configuration digest ({!Rsg_erc.Erc.config_digest}) *)
@@ -131,15 +126,14 @@ type entry = {
 val proto_table :
   ?reused:(string -> bool) ->
   ?reports:(string -> (string * Rsg_drc.Drc.cached_level) list) ->
-  ?compacts:(string -> (string * Rsg_compact.Hcompact.pabs) list) ->
   ?ercs:(string -> (string * Rsg_erc.Erc.cached_verdict) list) ->
   ?places:(string -> (string * int) list) ->
   Flatten.protos ->
   proto array
 (** Build the prototype table of a flattening cache: one record per
     distinct subtree digest in postorder (congruent celltypes
-    collapse into one record).  [reused], [reports], [compacts],
-    [ercs] and [places] are consulted with each hex digest to fill
+    collapse into one record).  [reused], [reports], [ercs] and
+    [places] are consulted with each hex digest to fill
     the record's metadata; all default to nothing. *)
 
 val encode : ?flat:Flatten.flat -> ?protos:proto array -> label:string -> Cell.t -> string
@@ -166,10 +160,10 @@ type section = { s_name : string; s_bytes : int; s_entries : int }
 
 val sections : string -> section list
 (** Per-section breakdown of an encoded entry — container framing,
-    label, prototype geometry, cached DRC reports, cached constraint
-    graphs, cached ERC verdicts, cached place evals, cell table, flat
-    geometry — in payload order.  Entries are records / reports / graphs / verdicts
-    / cells / flattened boxes as appropriate to the section.  Raises
+    label, prototype geometry, cached DRC reports, cached ERC
+    verdicts, cached place evals, cell table, flat geometry — in
+    payload order.  Entries are records / reports / verdicts / evals /
+    cells / flattened boxes as appropriate to the section.  Raises
     {!Error} like {!decode}. *)
 
 val write_file : string -> string -> unit

@@ -231,7 +231,7 @@ module Cached = struct
     | Some a -> [ (digest, a) ]
     | None -> []
 
-  let save r k ~label ?flat ?reused ?reports ?compacts ?ercs ?places
+  let save r k ~label ?flat ?reused ?reports ?ercs ?places
       ?(note = fun table -> Printf.sprintf "%d prototypes" (Array.length table))
       protos cell =
     match r.store with
@@ -239,7 +239,7 @@ module Cached = struct
     | Some s ->
       let k = Lazy.force k in
       let table =
-        Codec.proto_table ?reused ?reports ?compacts ?ercs ?places
+        Codec.proto_table ?reused ?reports ?ercs ?places
           (Lazy.force protos)
       in
       save s k ~stem:r.stem ~label ?flat:(Option.map Lazy.force flat)

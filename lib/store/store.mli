@@ -153,11 +153,6 @@ module Cached : sig
       Otherwise {!harvest}, [compute None], and [save] the result when
       there is a store. *)
 
-  val harvest : t -> unit
-  (** Adopt the stem's previous entry ({!harvest}) as the prior,
-      printing [cache: harvesting] when it has records.  Only for a
-      command that never looks its key up. *)
-
   val replay :
     t -> (Codec.proto -> (string * 'a) list) -> string -> string -> 'a option
   (** [replay r field digest hex] is the artifact the prior record of
@@ -177,7 +172,6 @@ module Cached : sig
     ?flat:Flatten.flat Lazy.t ->
     ?reused:(string -> bool) ->
     ?reports:(string -> (string * Rsg_drc.Drc.cached_level) list) ->
-    ?compacts:(string -> (string * Rsg_compact.Hcompact.pabs) list) ->
     ?ercs:(string -> (string * Rsg_erc.Erc.cached_verdict) list) ->
     ?places:(string -> (string * int) list) ->
     ?note:(Codec.proto array -> string) ->

@@ -1,14 +1,14 @@
 (* Tests for whole-structure hierarchical compaction (lib/compact
-   Hcompact): per-prototype condensation, artifact round-trips, the
-   cached warm path, stitch determinism across domain counts, DRC
-   preservation, and the identity on fully abutted structures. *)
+   Hcompact): the identity on fully abutted structures, shrinking a
+   loose floorplan DRC-clean, determinism, feasibility of the interior
+   systems the stitch never builds, and golden outputs. *)
 
 open Rsg_geom
 open Rsg_layout
 module H = Rsg_compact.Hcompact
 module Rules = Rsg_compact.Rules
-module Cgraph = Rsg_compact.Cgraph
 module Bellman = Rsg_compact.Bellman
+module Scanline = Rsg_compact.Scanline
 module Drc = Rsg_drc.Drc
 
 let rules = Rules.default
@@ -74,88 +74,140 @@ let test_deterministic_across_domains () =
   Alcotest.(check string) "domains 2 = domains 1" f1 (fp 2);
   Alcotest.(check string) "domains 4 = domains 1" f1 (fp 4)
 
-let test_cached_replay () =
-  (* the warm path must reuse every artifact and reproduce the cold
-     output byte for byte *)
-  let chip () = chip_of (pla_cell ()) in
-  let cold = H.hier ~domains:2 rules (chip ()) in
-  let tbl = Hashtbl.create 16 in
-  List.iter
-    (fun (hex, p, _) -> Hashtbl.replace tbl hex p)
-    cold.H.hr_artifacts;
-  let warm = H.hier ~domains:2 ~cached:(Hashtbl.find_opt tbl) rules (chip ()) in
-  Alcotest.(check int) "all prototypes reused" warm.H.hr_stats.H.hs_protos
-    warm.H.hr_stats.H.hs_reused;
-  Alcotest.(check int) "cold run reused none" 0 cold.H.hr_stats.H.hs_reused;
-  Alcotest.(check string) "identical output" (fingerprint cold.H.hr_cell)
-    (fingerprint warm.H.hr_cell);
-  (* artifacts returned by the warm run carry the reused flag *)
-  Alcotest.(check bool) "artifacts flagged reused" true
-    (List.for_all (fun (_, _, reused) -> reused) warm.H.hr_artifacts)
+(* ---- the interior systems hier does not solve ---------------------- *)
 
-let test_partial_cache_is_partial_reuse () =
-  (* hand back only some artifacts: the run reuses exactly those and
-     recondenses the rest, with identical output *)
-  let chip () = chip_of (pla_cell ()) in
-  let cold = H.hier ~domains:2 rules (chip ()) in
-  let keep = ref true in
-  let tbl = Hashtbl.create 16 in
-  List.iter
-    (fun (hex, p, _) ->
-      if !keep then Hashtbl.replace tbl hex p;
-      keep := not !keep)
-    cold.H.hr_artifacts;
-  let warm = H.hier ~domains:2 ~cached:(Hashtbl.find_opt tbl) rules (chip ()) in
-  Alcotest.(check int) "reused exactly the cached half"
-    (Hashtbl.length tbl) warm.H.hr_stats.H.hs_reused;
-  Alcotest.(check string) "identical output" (fingerprint cold.H.hr_cell)
-    (fingerprint warm.H.hr_cell)
+(* Every distinct prototype's interior x and y constraint systems,
+   generated and solved leftmost.  Hier never moves interior geometry,
+   so it does not build these; the oracle pins that on DRC-clean input
+   they are feasible anyway, i.e. solving them could never have raised
+   [Bellman.Infeasible] or changed a result. *)
+let interior_systems_solve cell =
+  let protos = Flatten.prototypes cell in
+  let rep = Flatten.representatives protos in
+  let solve items =
+    ignore
+      (Bellman.solve
+         (Scanline.generate rules Scanline.Visibility items).Scanline.graph)
+  in
+  List.iteri
+    (fun i c ->
+      if rep.(i) = i then begin
+        let items = Scanline.items_of_flat (Flatten.proto_flat protos c) in
+        solve items;
+        solve (Scanline.transpose items)
+      end)
+    (Flatten.protos_order protos)
 
-let test_cgraph_roundtrip () =
-  (* the serialised constraint system solves to the same least
-     solution as the live graph it came from *)
-  let cell = pla_cell () in
-  let r = H.hier ~domains:1 rules cell in
-  Alcotest.(check bool) "has artifacts" true (r.H.hr_artifacts <> []);
-  List.iter
-    (fun (_, pa, _) ->
-      List.iter
-        (fun (cg : H.cgraph) ->
-          let g = H.graph_of_cgraph cg in
-          Alcotest.(check int) "variable count" cg.H.cg_nv (Cgraph.n_vars g);
-          Alcotest.(check int) "constraint count"
-            (Array.length cg.H.cg_cons)
-            (Cgraph.n_constraints g);
-          Array.iteri
-            (fun v init ->
-              Alcotest.(check int) "initial abscissa" init
-                (Cgraph.init_value g v))
-            cg.H.cg_inits;
-          (* re-serialise: the round-trip is exact *)
-          let cg2 =
-            { H.cg_nv = Cgraph.n_vars g;
-              cg_inits =
-                Array.init (Cgraph.n_vars g) (Cgraph.init_value g);
-              cg_cons = Array.of_list (Cgraph.constraints g) }
-          in
-          Alcotest.(check bool) "exact round-trip" true (cg = cg2);
-          ignore (Bellman.solve g))
-        [ pa.H.pa_cx; pa.H.pa_cy ])
-    r.H.hr_artifacts
+(* The oracle holds, hier answers, and its output is DRC-clean. *)
+let pinned cell =
+  interior_systems_solve cell;
+  let r = H.hier rules cell in
+  (Drc.check_cell ~domains:1 r.H.hr_cell).Drc.r_violations = []
 
-let test_pitch_bounds_solve () =
-  (* wmin/hmin are the packed extents of the serialised systems *)
-  let cell = pla_cell () in
-  let r = H.hier ~domains:1 rules cell in
+let builtins =
+  [ ("pla", pla_cell);
+    ("decoder", fun () -> (Rsg_pla.Gen.generate_decoder 3).Rsg_pla.Gen.cell);
+    ("ram",
+     fun () -> (Rsg_ram.Ram_gen.generate ~words:8 ~bits:4 ()).Rsg_ram.Ram_gen.cell);
+    ("mult4x4",
+     fun () ->
+       (Rsg_mult.Layout_gen.generate ~xsize:4 ~ysize:4 ()).Rsg_mult.Layout_gen.whole) ]
+
+(* each builtin, and two copies of it at the deck gap's order of
+   magnitude and far apart *)
+let pinned_inputs =
+  List.concat_map
+    (fun (name, mk) ->
+      [ (name, mk);
+        (name ^ "-chip-gap3", fun () -> chip_of ~gap:3 (mk ()));
+        (name ^ "-chip-gap2000", fun () -> chip_of ~gap:2000 (mk ())) ])
+    builtins
+
+let gen_tt =
+  let open QCheck.Gen in
+  let lit = frequency [ (2, return '1'); (2, return '0'); (3, return '-') ] in
+  let* n = int_range 2 5 in
+  let* m = int_range 1 2 in
+  let* p = int_range 1 4 in
+  let term =
+    let* ins = string_size ~gen:lit (return n) in
+    let* outs = array_repeat m bool in
+    let* k = int_range 0 (m - 1) in
+    outs.(k) <- true;
+    return (ins, String.init m (fun j -> if outs.(j) then '1' else '0'))
+  in
+  map Rsg_pla.Truth_table.of_strings (list_repeat p term)
+
+(* a random walk of [steps] proposed moves from a problem's start state *)
+let walk (p : (_, _) Rsg_search.Anneal.problem) st ~seed ~steps =
+  let rng = Rsg_search.Anneal.Rng.make seed in
+  for _ = 1 to steps do
+    Option.iter (p.Rsg_search.Anneal.apply st) (p.Rsg_search.Anneal.propose rng st)
+  done;
+  st
+
+let gen_input =
+  let open QCheck.Gen in
+  let module Fold_opt = Rsg_search.Fold_opt in
+  let module Place_opt = Rsg_search.Place_opt in
+  let walk_of = pair small_nat (int_range 0 6) in
+  frequency
+    [ (3,
+       map (fun tt -> ("pla", fun () -> (Rsg_pla.Gen.generate tt).Rsg_pla.Gen.cell))
+         gen_tt);
+      (3,
+       map
+         (fun (tt, (seed, steps)) ->
+           ( Printf.sprintf "fold seed %d steps %d" seed steps,
+             fun () ->
+               (Fold_opt.generate
+                  (walk Fold_opt.problem (Fold_opt.make ~rules tt) ~seed ~steps))
+                 .Rsg_pla.Folding.cell ))
+         (pair gen_tt walk_of));
+      (3,
+       map
+         (fun (tts, (seed, steps)) ->
+           ( Printf.sprintf "place %d blocks seed %d steps %d" (List.length tts)
+               seed steps,
+             fun () ->
+               Place_opt.cell
+                 (walk Place_opt.problem
+                    (Place_opt.make ~rules
+                       (List.map (fun tt -> (Rsg_pla.Gen.generate tt).Rsg_pla.Gen.cell) tts))
+                    ~seed ~steps) ))
+         (pair (list_size (int_range 1 3) gen_tt) walk_of));
+      (1, oneofl pinned_inputs) ]
+
+let prop_interior_feasible =
+  QCheck.Test.make ~count:150
+    ~name:"interior systems feasible and output drc clean"
+    (QCheck.make ~print:fst gen_input)
+    (fun (_, mk) -> pinned (mk ()))
+
+(* hier's output CIF on the builtins and their chips, recorded before
+   the interior condensation phase was deleted *)
+let golden =
+  [ ("pla", "db695bcc00d542763575c6696954b64b");
+    ("pla-chip-gap3", "7f858be33063d4c2cf7776563a0d5a94");
+    ("pla-chip-gap2000", "7f858be33063d4c2cf7776563a0d5a94");
+    ("decoder", "e0774c93b66dbf5c589cb816a03e538c");
+    ("decoder-chip-gap3", "c2cb90ef95a42625926e99ed6691ebe8");
+    ("decoder-chip-gap2000", "c2cb90ef95a42625926e99ed6691ebe8");
+    ("ram", "2bda28500cf38a899100bf152adc507e");
+    ("ram-chip-gap3", "bb7cdc8feb04415cd20ebb61c322708a");
+    ("ram-chip-gap2000", "bb7cdc8feb04415cd20ebb61c322708a");
+    ("mult4x4", "281a5d5053ef7a0f2d5b0c545ab0290e");
+    ("mult4x4-chip-gap3", "0aa11fd890f9f12872237d9b509c23ca");
+    ("mult4x4-chip-gap2000", "0aa11fd890f9f12872237d9b509c23ca") ]
+
+let test_golden_outputs () =
   List.iter
-    (fun (_, pa, _) ->
-      Alcotest.(check bool) "wmin positive" true (pa.H.pa_wmin >= 0);
-      Alcotest.(check bool) "hmin positive" true (pa.H.pa_hmin >= 0);
-      Alcotest.(check bool) "constraint count matches" true
-        (H.pabs_constraints pa
-        = Array.length pa.H.pa_cx.H.cg_cons
-          + Array.length pa.H.pa_cy.H.cg_cons))
-    r.H.hr_artifacts
+    (fun (name, mk) ->
+      Alcotest.(check bool) (name ^ " pinned") true (pinned (mk ()));
+      Alcotest.(check string) (name ^ " output cif")
+        (List.assoc name golden)
+        (Digest.to_hex (Digest.string (Cif.to_string (H.hier rules (mk ())).H.hr_cell))))
+    pinned_inputs
 
 let () =
   Alcotest.run "rsg_hcompact"
@@ -165,12 +217,6 @@ let () =
          Alcotest.test_case "shrinks loose floorplan" `Quick
            test_shrinks_loose_floorplan;
          Alcotest.test_case "deterministic across domains" `Quick
-           test_deterministic_across_domains ]);
-      ("cache",
-       [ Alcotest.test_case "warm replay" `Quick test_cached_replay;
-         Alcotest.test_case "partial cache" `Quick
-           test_partial_cache_is_partial_reuse ]);
-      ("artifacts",
-       [ Alcotest.test_case "cgraph round-trip" `Quick test_cgraph_roundtrip;
-         Alcotest.test_case "pitch bounds" `Quick test_pitch_bounds_solve ])
-    ]
+           test_deterministic_across_domains;
+         QCheck_alcotest.to_alcotest prop_interior_feasible;
+         Alcotest.test_case "golden outputs" `Quick test_golden_outputs ]) ]

@@ -195,9 +195,8 @@ let test_place_domain_identity () =
   Alcotest.(check string) "cif 1=2" (cif r1) (cif r2);
   Alcotest.(check string) "cif 1=4" (cif r1) (cif r4)
 
-(* Every candidate's condensation runs with Obs suspended, on its own
-   chain's domain only: a count made on any domain while chains anneal
-   side by side is kept. *)
+(* Every candidate is scored on its own chain's domain: a count made
+   on any domain while chains anneal side by side is kept. *)
 let test_chains_keep_obs_counts () =
   let module Obs = Rsg_obs.Obs in
   Obs.reset ();

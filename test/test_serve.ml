@@ -404,6 +404,48 @@ let test_coalescing () =
   Client.close c;
   stop srv
 
+(* ---- ops ------------------------------------------------------------- *)
+
+(* The compact op answers with exactly a direct Hcompact.hier call's
+   stats on the same builtin. *)
+let test_compact_op () =
+  let module H = Rsg_compact.Hcompact in
+  let srv = start () in
+  let c = connect srv in
+  List.iter
+    (fun spec ->
+      let r = rq c (request ~id:spec "compact" [ ("spec", str spec) ]) in
+      check_ok spec r;
+      let result =
+        match Json.member "result" r with
+        | Some v -> v
+        | None -> Alcotest.fail (spec ^ ": no result")
+      in
+      let cell =
+        match Jobspec.target_cell spec with
+        | Ok cell -> cell
+        | Error msg -> Alcotest.fail msg
+      in
+      let s = (H.hier Rsg_compact.Rules.default cell).H.hr_stats in
+      List.iter
+        (fun (key, v) ->
+          Alcotest.(check (option int)) (spec ^ " " ^ key) (Some v)
+            (Json.mem_int key result))
+        [ ("protos", s.H.hs_protos);
+          ("stitch_constraints", s.H.hs_stitch_constraints);
+          ("elements", s.H.hs_elements);
+          ("rounds", s.H.hs_rounds);
+          ("area_before", s.H.hs_area_before);
+          ("area_after", s.H.hs_area_after) ];
+      List.iter
+        (fun key ->
+          Alcotest.(check bool) (spec ^ " has no " ^ key) true
+            (Json.member key result = None))
+        [ "reused"; "internal_constraints" ])
+    [ "pla"; "decoder" ];
+  Client.close c;
+  stop srv
+
 (* ---- drain ----------------------------------------------------------- *)
 
 let test_drain_completes_inflight () =
@@ -561,6 +603,7 @@ let () =
       ( "coalesce",
         [ Alcotest.test_case "identical generates share" `Quick test_coalescing ]
       );
+      ( "ops", [ Alcotest.test_case "compact" `Quick test_compact_op ] );
       ( "drain",
         [
           Alcotest.test_case "in-flight completes" `Quick

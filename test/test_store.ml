@@ -368,65 +368,12 @@ let test_proto_roundtrip () =
   Alcotest.(check bool)
     "replayed verdict agrees" (Drc.hier_clean hier) (Drc.hier_clean replay)
 
-let test_compacts_roundtrip () =
-  (* v3: condensed compaction artifacts ride in the prototype table,
-     keyed by rule-deck digest, and survive the codec byte-exactly *)
-  let module H = Rsg_compact.Hcompact in
-  let cell = (Rsg_pla.Gen.generate (pla_tt ())).Rsg_pla.Gen.cell in
-  let r = H.hier ~domains:1 Rsg_compact.Rules.default cell in
-  Alcotest.(check bool) "hier produced artifacts" true (r.H.hr_artifacts <> []);
-  let deck = Rsg_compact.Rules.digest Rsg_compact.Rules.default in
-  let compacts hex =
-    match
-      List.find_opt (fun (h, _, _) -> h = hex) r.H.hr_artifacts
-    with
-    | Some (_, pa, _) -> [ (deck, pa) ]
-    | None -> []
-  in
-  let protos = Flatten.prototypes cell in
-  let table = Codec.proto_table protos ~compacts in
-  Alcotest.(check bool) "some record carries artifacts" true
-    (Array.exists (fun (p : Codec.proto) -> p.Codec.p_compacts <> []) table);
-  let data = Codec.encode ~protos:table ~label:"pla" cell in
-  let entry = Codec.decode data in
-  Array.iter2
-    (fun (a : Codec.proto) (b : Codec.proto) ->
-      Alcotest.(check int) "compacts count survives"
-        (List.length a.Codec.p_compacts)
-        (List.length b.Codec.p_compacts);
-      List.iter2
-        (fun (da, pa) (db, pb) ->
-          Alcotest.(check string) "deck digest survives" (Digest.to_hex da)
-            (Digest.to_hex db);
-          Alcotest.(check int) "wmin survives" pa.H.pa_wmin pb.H.pa_wmin;
-          Alcotest.(check int) "hmin survives" pa.H.pa_hmin pb.H.pa_hmin;
-          Alcotest.(check bool) "graphs survive exactly" true
-            (pa.H.pa_cx = pb.H.pa_cx && pa.H.pa_cy = pb.H.pa_cy))
-        a.Codec.p_compacts b.Codec.p_compacts)
-    table entry.Codec.e_protos;
-  (* decode_protos sees the same artifacts without touching the flat *)
-  let _, table' = Codec.decode_protos data in
-  Array.iter2
-    (fun (a : Codec.proto) (b : Codec.proto) ->
-      Alcotest.(check int) "decode_protos compacts"
-        (List.length a.Codec.p_compacts)
-        (List.length b.Codec.p_compacts))
-    table table'
-
 let test_sections_accounting () =
   (* the per-section breakdown accounts for the payload and lands in
      Store.stats so `rsg cache stats` can report it *)
-  let module H = Rsg_compact.Hcompact in
   let cell = (Rsg_pla.Gen.generate (pla_tt ())).Rsg_pla.Gen.cell in
-  let r = H.hier ~domains:1 Rsg_compact.Rules.default cell in
-  let deck = Rsg_compact.Rules.digest Rsg_compact.Rules.default in
-  let compacts hex =
-    match List.find_opt (fun (h, _, _) -> h = hex) r.H.hr_artifacts with
-    | Some (_, pa, _) -> [ (deck, pa) ]
-    | None -> []
-  in
   let protos = Flatten.prototypes cell in
-  let table = Codec.proto_table protos ~compacts in
+  let table = Codec.proto_table protos in
   let flat = Flatten.protos_flat protos in
   let data = Codec.encode ~flat ~protos:table ~label:"pla" cell in
   let secs = Codec.sections data in
@@ -438,15 +385,11 @@ let test_sections_accounting () =
   (* every byte of the entry is accounted to exactly one section *)
   Alcotest.(check int) "bytes partition the entry" (String.length data)
     (List.fold_left (fun a (s : Codec.section) -> a + s.Codec.s_bytes) 0 secs);
-  Alcotest.(check int) "one graph record per table record"
-    (Array.length table) (sec "constraint graphs").Codec.s_entries;
   Alcotest.(check int) "proto geometry entries"
     (Array.length table) (sec "proto geometry").Codec.s_entries;
   Alcotest.(check int) "flat boxes"
     (Array.length flat.Flatten.flat_boxes)
     (sec "flat").Codec.s_entries;
-  Alcotest.(check bool) "graph section is non-trivial" true
-    ((sec "constraint graphs").Codec.s_bytes > 0);
   (* store-level aggregation: one entry's sections, verbatim *)
   let store = Store.open_ (temp_dir ()) in
   let key = Store.key ~design:"sections-test" ~params:"p" () in
@@ -650,110 +593,54 @@ let test_places_roundtrip () =
 
 (* ---- store maintenance and incremental lookup ------------------------ *)
 
-(* A v1-era entry must be a clean miss — deleted, never mis-decoded —
-   and the re-save must warm the slot again. *)
-let test_v1_stale_miss () =
+(* Every earlier format version must be a clean miss: [Bad_version]
+   against this build's version, deleted, never [Corrupt] or
+   mis-decoded — and the re-save must warm the slot again. One case
+   per older version, so a format bump adds a case and drops none. *)
+let test_stale_miss v () =
   let st = Store.open_ (temp_dir ()) in
-  let cell = (Rsg_pla.Gen.generate_decoder 3).Rsg_pla.Gen.cell in
-  let k = Store.key ~design:"decoder" ~params:"n=3" () in
-  Store.save st k ~label:"decoder 3" cell;
+  let cell = (Rsg_pla.Gen.generate (pla_tt ())).Rsg_pla.Gen.cell in
+  let k = Store.key ~design:"pla" ~params:"tt" () in
+  Store.save st k ~label:"pla" cell;
   let path = Store.path_of st k in
   let data = In_channel.with_open_bin path In_channel.input_all in
   let b = Bytes.of_string data in
   (* the version field is the u32 after the 4-byte magic: find the
-     byte holding the current version and patch it to 1, whatever the
-     endianness *)
+     byte holding the current version and patch it to [v], whatever
+     the endianness *)
   let patched = ref false in
   for i = 4 to 7 do
     if Bytes.get b i = Char.chr Codec.format_version then begin
-      Bytes.set b i '\001';
+      Bytes.set b i (Char.chr v);
       patched := true
     end
   done;
-  Alcotest.(check bool) "version byte found" true !patched;
-  Out_channel.with_open_bin path (fun oc -> Out_channel.output_bytes oc b);
-  (match Store.find st k with
-  | Store.Miss -> ()
-  | Store.Hit _ -> Alcotest.fail "v1 entry mis-decoded as hit"
-  | Store.Corrupt _ -> Alcotest.fail "v1 entry reported corrupt, not stale");
-  Alcotest.(check bool) "stale entry deleted" false (Sys.file_exists path);
-  Store.save st k ~label:"decoder 3" cell;
-  (match Store.find st k with
-  | Store.Hit _ -> ()
-  | _ -> Alcotest.fail "re-save did not re-warm");
-  ignore (Store.clear st)
-
-(* The v3->v4 bump (cached ERC verdicts in the prototype table) makes
-   last generation's entries stale: reading one must be a clean miss
-   — [Bad_version], deleted, counted stale, never [Corrupt] — and the
-   slot must re-warm. *)
-let test_v3_stale_miss () =
-  let st = Store.open_ (temp_dir ()) in
-  let cell = (Rsg_pla.Gen.generate (pla_tt ())).Rsg_pla.Gen.cell in
-  let k = Store.key ~design:"pla" ~params:"tt" () in
-  Store.save st k ~label:"pla" cell;
-  let path = Store.path_of st k in
-  let data = In_channel.with_open_bin path In_channel.input_all in
-  let b = Bytes.of_string data in
-  let patched = ref false in
-  for i = 4 to 7 do
-    if Bytes.get b i = Char.chr Codec.format_version then begin
-      Bytes.set b i '\003';
-      patched := true
-    end
-  done;
-  Alcotest.(check bool) "version byte found" true !patched;
+  let what = Printf.sprintf "v%d " v in
+  Alcotest.(check bool) (what ^ "version byte found") true !patched;
   Out_channel.with_open_bin path (fun oc -> Out_channel.output_bytes oc b);
   (match Codec.decode (Bytes.to_string b) with
   | exception Codec.Error (Codec.Bad_version { found; expected }) ->
-    Alcotest.(check int) "found v3" 3 found;
-    Alcotest.(check int) "expects v5" 5 expected
-  | _ -> Alcotest.fail "v3 entry decoded under a v5 reader");
+    Alcotest.(check int) (what ^ "found") v found;
+    Alcotest.(check int) (what ^ "expected") Codec.format_version expected
+  | _ -> Alcotest.failf "v%d entry decoded by this build" v);
   (match Store.find st k with
   | Store.Miss -> ()
-  | Store.Hit _ -> Alcotest.fail "v3 entry mis-decoded as hit"
-  | Store.Corrupt _ -> Alcotest.fail "v3 entry reported corrupt, not stale");
-  Alcotest.(check bool) "stale entry deleted" false (Sys.file_exists path);
+  | Store.Hit _ -> Alcotest.failf "v%d entry mis-decoded as hit" v
+  | Store.Corrupt _ -> Alcotest.failf "v%d entry reported corrupt, not stale" v);
+  Alcotest.(check bool) (what ^ "stale entry deleted") false
+    (Sys.file_exists path);
   Store.save st k ~label:"pla" cell;
   (match Store.find st k with
   | Store.Hit _ -> ()
-  | _ -> Alcotest.fail "re-save did not re-warm");
+  | _ -> Alcotest.failf "v%d: re-save did not re-warm" v);
   ignore (Store.clear st)
 
-(* The v4->v5 bump (cached place evaluations in the prototype table)
-   makes last generation's entries stale: same contract as v3->v4. *)
-let test_v4_stale_miss () =
-  let st = Store.open_ (temp_dir ()) in
-  let cell = (Rsg_pla.Gen.generate (pla_tt ())).Rsg_pla.Gen.cell in
-  let k = Store.key ~design:"pla" ~params:"tt" () in
-  Store.save st k ~label:"pla" cell;
-  let path = Store.path_of st k in
-  let data = In_channel.with_open_bin path In_channel.input_all in
-  let b = Bytes.of_string data in
-  let patched = ref false in
-  for i = 4 to 7 do
-    if Bytes.get b i = Char.chr Codec.format_version then begin
-      Bytes.set b i '\004';
-      patched := true
-    end
-  done;
-  Alcotest.(check bool) "version byte found" true !patched;
-  Out_channel.with_open_bin path (fun oc -> Out_channel.output_bytes oc b);
-  (match Codec.decode (Bytes.to_string b) with
-  | exception Codec.Error (Codec.Bad_version { found; expected }) ->
-    Alcotest.(check int) "found v4" 4 found;
-    Alcotest.(check int) "expects v5" 5 expected
-  | _ -> Alcotest.fail "v4 entry decoded under a v5 reader");
-  (match Store.find st k with
-  | Store.Miss -> ()
-  | Store.Hit _ -> Alcotest.fail "v4 entry mis-decoded as hit"
-  | Store.Corrupt _ -> Alcotest.fail "v4 entry reported corrupt, not stale");
-  Alcotest.(check bool) "stale entry deleted" false (Sys.file_exists path);
-  Store.save st k ~label:"pla" cell;
-  (match Store.find st k with
-  | Store.Hit _ -> ()
-  | _ -> Alcotest.fail "re-save did not re-warm");
-  ignore (Store.clear st)
+let stale_cases =
+  List.init (Codec.format_version - 1) (fun i ->
+      let v = i + 1 in
+      Alcotest.test_case
+        (Printf.sprintf "stale v%d is a clean miss" v)
+        `Quick (test_stale_miss v))
 
 let touch path =
   Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc "x")
@@ -999,7 +886,6 @@ let qcheck_edit_dirtiness =
 (* ---- cached runs (Store.Cached) ------------------------------------- *)
 
 module Erc = Rsg_erc.Erc
-module Hcompact = Rsg_compact.Hcompact
 module Anneal = Rsg_search.Anneal
 
 (* Give the first leaf celltype carrying boxes a copy of its first box:
@@ -1145,34 +1031,6 @@ let rules = Rsg_compact.Rules.default
 
 let rules_digest = Rsg_compact.Rules.digest rules
 
-let test_cached_hcompact () =
-  check_protocol ~name:"hcompact" ~make:pla_cell
-    ~compute:(fun cell run ->
-      Hcompact.hier ~domains:2
-        ~cached:(Store.Cached.replay run (fun p -> p.Codec.p_compacts) rules_digest)
-        rules cell)
-    ~save:(fun cell run key r ->
-      ignore
-        (Store.Cached.save run (lazy key)
-           ~label:"hcompact"
-           ~reused:(fun hex ->
-             List.exists (fun (h, _, reused) -> h = hex && reused) r.Hcompact.hr_artifacts)
-           ~compacts:
-             (Store.Cached.by_hex rules_digest
-                (List.map (fun (h, pa, _) -> (h, pa)) r.Hcompact.hr_artifacts))
-           (lazy (Flatten.prototypes cell)) cell))
-    ~uncached:(fun cell -> Hcompact.hier ~domains:1 rules cell)
-    ~replayed:(fun _ r -> List.map (fun (h, _, reused) -> (h, reused)) r.Hcompact.hr_artifacts)
-    ~canon:(fun r ->
-      Cif.to_string r.Hcompact.hr_cell
-      ^ Marshal.to_string
-          ( { r.Hcompact.hr_stats with Hcompact.hs_reused = 0 },
-            List.map (fun (h, pa, _) -> (h, pa)) r.Hcompact.hr_artifacts )
-          [])
-
-(* Place evaluations ride on the root record alone, so the root is
-   always on the dirty chain: an edited block replays no evaluation,
-   an unchanged rerun replays all of them. *)
 let test_cached_places () =
   let search cell cached =
     let st0 = Rsg_search.Place_opt.make ~rules [ cell; cell ] in
@@ -1369,26 +1227,21 @@ let () =
         [
           Alcotest.test_case "lookup lifecycle" `Quick test_store_lookup;
           Alcotest.test_case "stats and gc" `Quick test_store_stats_gc;
-          Alcotest.test_case "stale v1 is a clean miss" `Quick
-            test_v1_stale_miss;
-          Alcotest.test_case "stale v3 is a clean miss" `Quick
-            test_v3_stale_miss;
-          Alcotest.test_case "stale v4 is a clean miss" `Quick
-            test_v4_stale_miss;
-          Alcotest.test_case "orphaned temp sweep" `Quick test_tmp_sweep;
-          Alcotest.test_case "removal races" `Quick test_removal_races;
-          Alcotest.test_case "latest pointer and harvest" `Quick
-            test_latest_and_harvest;
-          Alcotest.test_case "garbled pointer is a clean miss" `Quick
-            test_bad_pointer;
-          Alcotest.test_case "advisory lock" `Quick test_with_lock;
-        ] );
+        ]
+        @ stale_cases
+        @ [
+            Alcotest.test_case "orphaned temp sweep" `Quick test_tmp_sweep;
+            Alcotest.test_case "removal races" `Quick test_removal_races;
+            Alcotest.test_case "latest pointer and harvest" `Quick
+              test_latest_and_harvest;
+            Alcotest.test_case "garbled pointer is a clean miss" `Quick
+              test_bad_pointer;
+            Alcotest.test_case "advisory lock" `Quick test_with_lock;
+          ] );
       ( "protos",
         [
           Alcotest.test_case "table roundtrip and replay" `Quick
             test_proto_roundtrip;
-          Alcotest.test_case "compaction artifacts roundtrip" `Quick
-            test_compacts_roundtrip;
           Alcotest.test_case "erc verdicts roundtrip" `Quick
             test_ercs_roundtrip;
           Alcotest.test_case "place evals roundtrip" `Quick
@@ -1405,7 +1258,6 @@ let () =
         [
           Alcotest.test_case "drc levels" `Quick test_cached_drc;
           Alcotest.test_case "erc verdicts" `Quick test_cached_erc;
-          Alcotest.test_case "compaction artifacts" `Quick test_cached_hcompact;
           Alcotest.test_case "place evaluations" `Quick test_cached_places;
           Alcotest.test_case "full replay builds no geometry" `Quick
             test_replay_builds_no_geometry;
