@@ -12,10 +12,11 @@ type node = {
 
 let enabled = ref false
 
-(* Set while a domain runs [suspend]ed work.  Domains spawned meanwhile
-   (a Par fan-out) start with their parent's value, so the pause covers
-   exactly one call tree and never another domain's recording. *)
-let suspended = Domain.DLS.new_key ~split_from_parent:Fun.id (fun () -> false)
+(* Set while a domain runs [suspend]ed work.  A domain spawned meanwhile
+   starts with its parent's value, and a Par worker takes its
+   submitter's value for each fan-out ([with_suspended]), so the pause
+   covers exactly one call tree and never another domain's recording. *)
+let suspension = Domain.DLS.new_key ~split_from_parent:Fun.id (fun () -> false)
 
 let mk_root () = { name = "<root>"; total = 0.; count = 0; children = [] }
 
@@ -42,12 +43,16 @@ let enable () = enabled := true
 let disable () = enabled := false
 
 (* the disabled fast path still reads one ref *)
-let is_enabled () = !enabled && not (Domain.DLS.get suspended)
+let is_enabled () = !enabled && not (Domain.DLS.get suspension)
 
-let suspend f =
-  let was = Domain.DLS.get suspended in
-  Domain.DLS.set suspended true;
-  Fun.protect ~finally:(fun () -> Domain.DLS.set suspended was) f
+let suspended () = Domain.DLS.get suspension
+
+let with_suspended s f =
+  let was = Domain.DLS.get suspension in
+  Domain.DLS.set suspension s;
+  Fun.protect ~finally:(fun () -> Domain.DLS.set suspension was) f
+
+let suspend f = with_suspended true f
 
 let reset () =
   root := mk_root ();

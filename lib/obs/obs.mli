@@ -29,11 +29,21 @@ val is_enabled : unit -> bool
 (** Recording is on and the calling domain is not inside {!suspend}. *)
 
 val suspend : (unit -> 'a) -> 'a
-(** [suspend f] runs [f ()] with recording off on the calling domain
-    and on every domain spawned while it runs (a {!Rsg_par.Par}
-    fan-out); other domains keep recording.  Work that fans out from a
-    domain other than the span tree's owner runs under it, because the
-    span tree must only be touched from one domain. *)
+(** [suspend f] runs [f ()] with recording off on the calling domain,
+    on every {!Rsg_par.Par} worker while it runs a fan-out submitted
+    from [f], and on every domain spawned while [f] runs; other
+    domains keep recording.  Work that fans out from a domain other
+    than the span tree's owner runs under it, because the span tree
+    must only be touched from one domain. *)
+
+val suspended : unit -> bool
+(** The calling domain is inside {!suspend}. *)
+
+val with_suspended : bool -> (unit -> 'a) -> 'a
+(** [with_suspended s f] runs [f ()] with the calling domain's
+    suspension set to [s], restoring it afterwards.  A resident worker
+    runs each job under its submitter's {!suspended}, whatever state
+    the worker was created in. *)
 
 val reset : unit -> unit
 (** Drop all recorded spans and counters; recording state unchanged. *)

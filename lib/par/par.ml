@@ -10,69 +10,11 @@ let default_domains () =
     | _ -> recommended ())
   | None -> recommended ()
 
-(* Run [body i] for every [i < n] on [d] domains (d - 1 spawned plus
-   the caller), chunk self-scheduling off one atomic counter.  Every
-   domain is joined before anything is raised; per-domain busy times
-   are handed back for the caller to record. *)
-let run_chunks ~domains:d ~chunk n body =
-  let next = Atomic.make 0 in
-  let worker () =
-    let t0 = Unix.gettimeofday () in
-    let rec loop () =
-      let start = Atomic.fetch_and_add next chunk in
-      if start < n then begin
-        let stop = min n (start + chunk) in
-        for i = start to stop - 1 do
-          body i
-        done;
-        loop ()
-      end
-    in
-    loop ();
-    Unix.gettimeofday () -. t0
-  in
-  let others = Array.init (d - 1) (fun _ -> Domain.spawn worker) in
-  let mine = try Ok (worker ()) with e -> Error e in
-  let joined =
-    Array.map (fun dom -> try Ok (Domain.join dom) with e -> Error e) others
-  in
-  let results = Array.append [| mine |] joined in
-  if Obs.is_enabled () then
-    Array.iteri
-      (fun k r ->
-        match r with
-        | Ok seconds -> Obs.record (Printf.sprintf "par.domain%d" k) seconds
-        | Error _ -> ())
-      results;
-  Array.iter (function Error e -> raise e | Ok _ -> ()) results
-
-let map_in ~domains:d ~chunk span_name f xs =
-  let n = Array.length xs in
-  let d = max 1 (min d n) in
-  if d = 1 then Array.map f xs
-  else
-    Obs.span span_name @@ fun () ->
-    let out = Array.make n None in
-    run_chunks ~domains:d ~chunk n (fun i -> out.(i) <- Some (f xs.(i)));
-    Array.map (function Some v -> v | None -> assert false) out
-
-let map ?domains f xs =
-  let d = match domains with Some d -> d | None -> default_domains () in
-  (* contiguous chunks a few per domain: cheap scheduling for roughly
-     uniform elements, still some balancing slack *)
-  let chunk = max 1 (Array.length xs / (max 1 d * 4)) in
-  map_in ~domains:d ~chunk "par.map" f xs
-
-let chunked_map ?domains ?(chunk = 1) f xs =
-  let d = match domains with Some d -> d | None -> default_domains () in
-  map_in ~domains:d ~chunk:(max 1 chunk) "par.chunked_map" f xs
-
-(* A resident pool: [map] spawns and joins domains per call, which is
-   the right shape for a one-shot CLI but not for a daemon that fields
-   thousands of small jobs — there the spawn/join cost and the domain
-   churn dominate.  [Pool] keeps the workers alive and feeds them off
-   one locked queue; the queue bound is the admission-control surface
-   the serve layer builds on. *)
+(* A resident pool: worker domains stay alive and feed off one locked
+   queue, so a process that fans out thousands of small jobs pays no
+   spawn/join and no domain churn per job.  The queue bound is the
+   admission-control surface the serve layer builds on; the fan-outs
+   below run on a crew of one-worker pools. *)
 module Pool = struct
   type t = {
     mutex : Mutex.t;
@@ -167,3 +109,88 @@ module Pool = struct
       Array.iter Domain.join (Lazy.force t.workers)
     end
 end
+
+(* The process-wide crew: helper [k] is a one-worker pool, so a fan-out
+   on [d] domains always lands on helpers [0 .. d - 2].  It is created
+   by the first fan-out that needs it, never at initialisation (the
+   Thread library cannot start once a second domain exists), and grows
+   to the largest request.  [held] admits one fan-out at a time and
+   guards [crew]; a fan-out that finds it taken, nested in a task or
+   submitted from another domain, runs inline. *)
+let crew : Pool.t array ref = ref [||]
+
+let held = Atomic.make false
+
+(* Run [body i] for every [i < n] on up to [d] participants (the caller
+   plus [d - 1] helpers), chunk self-scheduling off one atomic counter.
+   Every participant finishes before anything is raised, and its busy
+   time is recorded as [par.domain<k>]. *)
+let run_chunks ~domains:d ~chunk n body =
+  let next = Atomic.make 0 in
+  let share () =
+    let t0 = Unix.gettimeofday () in
+    let rec loop () =
+      let start = Atomic.fetch_and_add next chunk in
+      if start < n then begin
+        let stop = min n (start + chunk) in
+        for i = start to stop - 1 do
+          body i
+        done;
+        loop ()
+      end
+    in
+    match loop () with
+    | () -> Ok (Unix.gettimeofday () -. t0)
+    | exception e -> Error e
+  in
+  let results =
+    if not (Atomic.compare_and_set held false true) then [| share () |]
+    else
+      Fun.protect ~finally:(fun () -> Atomic.set held false) @@ fun () ->
+      while Array.length !crew < d - 1 do
+        crew := Array.append !crew [| Pool.create ~domains:1 () |]
+      done;
+      let results = Array.make d (Ok 0.) in
+      let suspended = Obs.suspended () in
+      (* crew pools are unbounded and never shut down; a helper that
+         started late finds the chunks claimed and returns at once *)
+      for k = 1 to d - 1 do
+        ignore
+          (Pool.try_submit !crew.(k - 1) (fun () ->
+               results.(k) <- Obs.with_suspended suspended share))
+      done;
+      results.(0) <- share ();
+      for k = 1 to d - 1 do
+        Pool.wait_idle !crew.(k - 1)
+      done;
+      results
+  in
+  if Obs.is_enabled () then
+    Array.iteri
+      (fun k r ->
+        match r with
+        | Ok seconds -> Obs.record (Printf.sprintf "par.domain%d" k) seconds
+        | Error _ -> ())
+      results;
+  Array.iter (function Error e -> raise e | Ok _ -> ()) results
+
+let map_in ~domains:d ~chunk span_name f xs =
+  let n = Array.length xs in
+  let d = max 1 (min d n) in
+  if d = 1 then Array.map f xs
+  else
+    Obs.span span_name @@ fun () ->
+    let out = Array.make n None in
+    run_chunks ~domains:d ~chunk n (fun i -> out.(i) <- Some (f xs.(i)));
+    Array.map (function Some v -> v | None -> assert false) out
+
+let map ?domains f xs =
+  let d = match domains with Some d -> d | None -> default_domains () in
+  (* contiguous chunks a few per domain: cheap scheduling for roughly
+     uniform elements, still some balancing slack *)
+  let chunk = max 1 (Array.length xs / (max 1 d * 4)) in
+  map_in ~domains:d ~chunk "par.map" f xs
+
+let chunked_map ?domains ?(chunk = 1) f xs =
+  let d = match domains with Some d -> d | None -> default_domains () in
+  map_in ~domains:d ~chunk:(max 1 chunk) "par.chunked_map" f xs

@@ -1,26 +1,49 @@
 (** A small dependency-free domain pool over OCaml 5 [Domain].
 
     [map] and [chunked_map] fan an array of independent tasks out
-    across [domains] domains ([d - 1] spawned workers plus the calling
-    domain) with atomic self-scheduling: workers grab the next unclaimed
-    chunk of indices until the array is exhausted, so uneven task costs
-    balance automatically.  Results are written into their input slot,
-    which makes the output — and anything derived from it in input
-    order — independent of how the runtime schedules the domains.
-    [~domains:1] is the escape hatch: it runs the plain sequential
-    [Array.map] on the calling domain, no spawns, bit-identical by
-    construction.
+    across [domains] participants (the calling domain plus
+    [domains - 1] resident helpers) with atomic self-scheduling: participants grab
+    the next unclaimed chunk of indices until the array is exhausted,
+    so uneven task costs balance automatically.  Results are written
+    into their input slot, which makes the output — and anything
+    derived from it in input order — independent of how the runtime
+    schedules the domains.  [~domains:1] is the escape hatch: it runs
+    the plain sequential [Array.map] on the calling domain, bit-identical
+    by construction.
+
+    {b The crew.}  Every fan-out runs on one process-wide crew of
+    resident helper domains, built on {!Pool}'s worker loop.
+    - The crew is created by the first fan-out that needs a helper,
+      never at initialisation: OCaml 5.1's Thread library cannot start
+      once a second domain exists, so a crew spawned at start-up would
+      kill any program that links threads.
+    - It grows to the largest [domains] any fan-out has asked for and
+      never shrinks; a fan-out at [d] uses [d - 1] helpers and never
+      more.  Helpers live until the process exits.
+    - One fan-out holds the crew at a time.  A fan-out nested in a
+      task, or submitted from another domain while the crew is busy,
+      runs all its tasks inline on its caller.
+    - A helper runs each fan-out under its submitter's
+      {!Rsg_obs.Obs.suspend} state, not the state it was created in.
+
+    A resident helper has two costs a per-call spawn did not.
+    [Unix.fork] fails once one exists ("Unix.fork may not be called
+    while other domains were created"); nothing in this repository
+    forks, and [Sys.command] still works.  And an idle helper still
+    joins every stop-the-world minor collection, so sequential phases
+    burn some extra CPU once a crew exists.
 
     Tasks must be independent: [f] must not touch shared mutable state,
-    and in particular must not call {!Rsg_obs.Obs} (its span tree is
-    process-global and single-domain).  The pool itself reports per-run
-    and per-domain busy times to [Obs] from the calling domain
-    ([par.map] / [par.chunked_map] spans with [par.domain<k>]
-    children), so callers get domain-utilisation observability for
-    free.
+    and in particular must not open {!Rsg_obs.Obs} spans (the span tree
+    is process-global and single-domain; counters are domain-safe).
+    The pool itself reports per-run and per-participant busy times to
+    [Obs] from the calling domain ([par.map] / [par.chunked_map] spans
+    with [par.domain<k>] children), so callers get domain-utilisation
+    observability for free.
 
-    If a task raises, every domain is still joined (no domain leaks)
-    and then one of the raised exceptions is re-raised on the caller. *)
+    If a task raises, every participant still finishes its share and
+    then one of the raised exceptions is re-raised on the caller; the
+    helpers survive it. *)
 
 val recommended : unit -> int
 (** [Domain.recommended_domain_count ()]. *)
@@ -45,10 +68,9 @@ val chunked_map : ?domains:int -> ?chunk:int -> ('a -> 'b) -> 'a array -> 'b arr
 
 (** A resident worker pool for long-running processes.
 
-    {!map} spawns and joins domains per call — right for a one-shot
-    CLI, wrong for a daemon fielding thousands of small jobs.  A
-    [Pool.t] keeps [domains] worker domains alive, feeding them tasks
-    off one locked queue.  [max_pending] bounds the queue: a full
+    A [Pool.t] keeps [domains] worker domains alive, feeding them tasks
+    off one locked queue; the crew behind {!map} is made of one-worker
+    pools.  [max_pending] bounds the queue: a full
     queue makes {!Pool.try_submit} return [false] instead of letting
     latency grow without bound, which is exactly the admission-control
     surface a service needs for graceful saturation.

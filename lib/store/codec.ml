@@ -51,27 +51,29 @@ type entry = {
    and unboxed arithmetic keeps the checksum out of the warm-load
    profile (boxed Int32 steps cost several allocations per byte).
    Slicing-by-4: four derived tables let the loop fold one 32-bit word
-   per step instead of one byte. *)
+   per step instead of one byte.  The tables are built at
+   initialisation, not lazily: batch jobs verify and decode entries on
+   several domains at once, and a lazy forced from two domains at once
+   raises [Lazy.Undefined]. *)
 let crc_tables =
-  lazy
-    (let t0 =
-       Array.init 256 (fun n ->
-           let c = ref n in
-           for _ = 0 to 7 do
-             c :=
-               if !c land 1 <> 0 then 0xedb88320 lxor (!c lsr 1)
-               else !c lsr 1
-           done;
-           !c)
-     in
-     let next t n = t0.(t.(n) land 0xff) lxor (t.(n) lsr 8) in
-     let t1 = Array.init 256 (next t0) in
-     let t2 = Array.init 256 (next t1) in
-     let t3 = Array.init 256 (next t2) in
-     (t0, t1, t2, t3))
+  let t0 =
+    Array.init 256 (fun n ->
+        let c = ref n in
+        for _ = 0 to 7 do
+          c :=
+            if !c land 1 <> 0 then 0xedb88320 lxor (!c lsr 1)
+            else !c lsr 1
+        done;
+        !c)
+  in
+  let next t n = t0.(t.(n) land 0xff) lxor (t.(n) lsr 8) in
+  let t1 = Array.init 256 (next t0) in
+  let t2 = Array.init 256 (next t1) in
+  let t3 = Array.init 256 (next t2) in
+  (t0, t1, t2, t3)
 
 let crc32 s =
-  let t0, t1, t2, t3 = Lazy.force crc_tables in
+  let t0, t1, t2, t3 = crc_tables in
   let len = String.length s in
   let c = ref 0xffffffff in
   let i = ref 0 in
@@ -642,7 +644,8 @@ let get_protos ?on_record r =
   done;
   Array.map Option.get out
 
-let layer_table = lazy (Array.of_list Layer.all)
+(* eager, like [crc_tables] *)
+let layer_table = Array.of_list Layer.all
 
 (* The flattened box array is the bulk of an entry (five varints per
    box), so it gets a specialised loop: one- and two-byte varints —
@@ -651,7 +654,7 @@ let layer_table = lazy (Array.of_list Layer.all)
    reader. *)
 let get_flat r =
   let n_boxes = get_uint r "flat box count" in
-  let layers = Lazy.force layer_table in
+  let layers = layer_table in
   let n_layers = Array.length layers in
   let src = r.src in
   let len = String.length src in
