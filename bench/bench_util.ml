@@ -68,18 +68,7 @@ let json_int key v = json_put key (string_of_int v)
 let json_bool key v = json_put key (if v then "true" else "false")
 
 let json_str key v =
-  let b = Buffer.create (String.length v + 2) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    v;
-  json_put key (Printf.sprintf "\"%s\"" (Buffer.contents b))
+  json_put key (Printf.sprintf "\"%s\"" (Rsg_obs.Obs.json_escape v))
 
 (* Write BENCH_<id>.json into the current directory if the finished
    section recorded anything; always reset the collector so one

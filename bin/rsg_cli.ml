@@ -55,20 +55,6 @@ let with_obs (text, json) f =
 (* reads to end of input, so pipes work as well as files *)
 let read_file path = In_channel.with_open_bin path In_channel.input_all
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 (* A sample CIF holds leaf cells plus labelled assembly cells; every
    symbol that contains both instances and labels is extracted. *)
 let sample_of_cif path =
@@ -1161,7 +1147,7 @@ let place target blocks out stats seed iters chains strategy cache json domains
          \"seed\": %d, \"iters\": %d, \"chains\": %d, \
          \"initial_area\": %d, \"best_area\": %d, \"best\": \"%s\", \
          \"computed\": %d, \"cached\": %d}@."
-        (json_escape target) blocks
+        (Obs.json_escape target) blocks
         (match strategy with `Greedy -> "greedy" | `Anneal -> "anneal")
         seed s.Anneal.st_iters s.Anneal.st_chains r.Anneal.r_initial_cost
         r.Anneal.r_cost
@@ -1362,7 +1348,7 @@ let lint target params_path sample_path assumes hashes json_out obs =
       if json_out then begin
         let line (name, d) =
           Printf.sprintf "  {\"proc\": \"%s\", \"hash\": \"%s\"}"
-            (json_escape name) d
+            (Obs.json_escape name) d
         in
         Printf.printf "[\n%s\n]\n"
           (String.concat ",\n" (List.map line (Rsg_lang.Subtree.digests t)))
@@ -1509,8 +1495,8 @@ let batch manifest cache out_dir domains json obs =
       Printf.sprintf
         "    {\"name\": \"%s\", \"kind\": \"%s\", \"outcome\": \"%s\", \
          \"boxes\": %d, \"key\": \"%s\"}"
-        (json_escape r.Batch.r_job.Batch.j_name)
-        (json_escape r.Batch.r_job.Batch.j_kind)
+        (Obs.json_escape r.Batch.r_job.Batch.j_name)
+        (Obs.json_escape r.Batch.r_job.Batch.j_kind)
         (outcome_name r.Batch.r_outcome)
         r.Batch.r_boxes
         (Store.key_hex r.Batch.r_job.Batch.j_key)
@@ -1579,13 +1565,13 @@ let cache_stats dir json =
       Printf.sprintf
         "    {\"key\": \"%s\", \"label\": \"%s\", \"bytes\": %d, \"protos\": \
          %d, \"reused\": %d}"
-        (json_escape e.Store.es_key)
-        (json_escape e.Store.es_label)
+        (Obs.json_escape e.Store.es_key)
+        (Obs.json_escape e.Store.es_label)
         e.Store.es_bytes e.Store.es_protos e.Store.es_reused
     in
     let section (x : Codec.section) =
       Printf.sprintf "    {\"name\": \"%s\", \"bytes\": %d, \"entries\": %d}"
-        (json_escape x.Codec.s_name)
+        (Obs.json_escape x.Codec.s_name)
         x.Codec.s_bytes x.Codec.s_entries
     in
     Printf.printf

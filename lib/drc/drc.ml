@@ -303,9 +303,6 @@ let run_rule geom rule =
   !out
 
 let check ?(deck = Deck.default) ?domains (items : Scanline.item array) =
-  let domains =
-    match domains with Some d -> max 1 d | None -> Par.default_domains ()
-  in
   Obs.span "drc.check" @@ fun () ->
   let geom =
     Obs.span "drc.regions" @@ fun () ->
@@ -328,19 +325,16 @@ let check ?(deck = Deck.default) ?domains (items : Scanline.item array) =
            Layer.all)
     in
     Array.to_list
-      (Par.map ~domains
+      (Par.map ?domains
          (fun (layer, boxes) -> (layer, (boxes, regions_of boxes)))
          present)
   in
   let rules = Array.of_list (Deck.rules deck) in
   let per_rule =
-    if domains = 1 then
-      Array.map
-        (fun rule -> Obs.span (span_of_rule rule) (fun () -> run_rule geom rule))
-        rules
-    else
-      Obs.span "drc.rules" @@ fun () ->
-      Par.chunked_map ~domains ~chunk:1 (run_rule geom) rules
+    Obs.span "drc.rules" @@ fun () ->
+    Par.chunked_map ?domains ~chunk:1
+      (fun rule -> Obs.span (span_of_rule rule) (fun () -> run_rule geom rule))
+      rules
   in
   let out = ref (List.concat (Array.to_list per_rule)) in
   let n_rules = ref (Array.length rules) in
@@ -784,30 +778,19 @@ let pp_report ppf r =
     r.r_boxes r.r_regions r.r_rules;
   List.iter (fun v -> Format.fprintf ppf "  %a@." pp_violation v) r.r_violations
 
-let json_escape s =
-  let buf = Buffer.create (String.length s) in
-  String.iter
-    (function
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 let report_to_json r =
   let buf = Buffer.create 1024 in
   Buffer.add_string buf
     (Printf.sprintf
        "{\"deck\":\"%s\",\"boxes\":%d,\"regions\":%d,\"rules\":%d,\"violations\":["
-       (json_escape r.r_deck) r.r_boxes r.r_regions r.r_rules);
+       (Obs.json_escape r.r_deck) r.r_boxes r.r_regions r.r_rules);
   List.iteri
     (fun i v ->
       if i > 0 then Buffer.add_char buf ',';
       Buffer.add_string buf
         (Printf.sprintf
            "{\"rule\":\"%s\",\"layers\":[%s],\"required\":%d,\"actual\":%d,\"boxes\":[%s]}"
-           (json_escape v.v_rule)
+           (Obs.json_escape v.v_rule)
            (String.concat ","
               (List.map (fun l -> "\"" ^ Layer.name l ^ "\"") v.v_layers))
            v.v_required v.v_actual
@@ -846,7 +829,7 @@ let hier_report_to_json r =
   Buffer.add_string buf
     (Printf.sprintf
        "{\"deck\":\"%s\",\"halo\":%d,\"violations\":%d,\"boxes\":%d,\"cached\":%d,\"levels\":["
-       (json_escape r.h_deck) r.h_halo (hier_violations r) r.h_boxes
+       (Obs.json_escape r.h_deck) r.h_halo (hier_violations r) r.h_boxes
        r.h_cached);
   List.iteri
     (fun i l ->
@@ -854,7 +837,7 @@ let hier_report_to_json r =
       Buffer.add_string buf
         (Printf.sprintf
            "{\"cell\":\"%s\",\"hash\":\"%s\",\"placements\":%d,\"contexts\":%d,\"distinct\":%d,\"boxes\":%d,\"cached\":%b,\"violations\":["
-           (json_escape l.l_cell) l.l_hash l.l_placements l.l_contexts
+           (Obs.json_escape l.l_cell) l.l_hash l.l_placements l.l_contexts
            l.l_distinct l.l_boxes l.l_cached);
       List.iteri
         (fun k (v, c) ->
@@ -862,7 +845,7 @@ let hier_report_to_json r =
           Buffer.add_string buf
             (Printf.sprintf
                "{\"rule\":\"%s\",\"required\":%d,\"actual\":%d,\"count\":%d,\"boxes\":[%s]}"
-               (json_escape v.v_rule) v.v_required v.v_actual c
+               (Obs.json_escape v.v_rule) v.v_required v.v_actual c
                (String.concat ","
                   (List.map
                      (fun (b : Box.t) ->

@@ -50,9 +50,8 @@ val check :
     across that many domains; the report is bit-identical for every
     pool size ([~domains:1] runs fully sequentially on the calling
     domain).  Instrumented with [Obs] spans ([drc.check],
-    [drc.regions], then per-rule [drc.width]/[drc.spacing]/
-    [drc.enclosure]/[drc.overlap] when sequential or a pooled
-    [drc.rules] with per-domain children when parallel) and counters
+    [drc.regions], then [drc.rules] over per-rule [drc.width]/
+    [drc.spacing]/[drc.enclosure]/[drc.overlap]) and counters
     ([drc.checks], [drc.boxes], [drc.violations]). *)
 
 val check_cell : ?deck:Deck.t -> ?domains:int -> Rsg_layout.Cell.t -> report
@@ -141,10 +140,9 @@ val check_protos :
     replays that level verbatim (the caller warrants it was computed
     with the same deck — key cached levels by (subtree hash, deck
     digest)).  Dirty levels fan out across [domains] workers
-    ({!Rsg_par.Par.default_domains} when omitted) with Obs recording
-    suspended ({!Rsg_layout.Flatten.cached_map}); results are merged
-    in postorder, so the report is bit-identical for every domain
-    count.  Counters:
+    ({!Rsg_par.Par.default_domains} when omitted) through
+    {!Rsg_layout.Flatten.cached_map}; results are merged in postorder,
+    so the report is bit-identical for every domain count.  Counters:
     [drc.hier.levels], [drc.hier.cached], [drc.hier.boxes],
     [drc.hier.violations]. *)
 

@@ -310,9 +310,9 @@ let check_items ?(cfg = default_config) ?(rules = Rules.default) ?domains items
    Non-root verdicts are censuses (their diag lists are empty by
    construction) and fan out over the pool.  The root — whose local
    flat is the whole design — is adjudicated after the fan-out, on the
-   calling domain with Obs recording, so its per-net classification
-   can itself use the pool: [cached_map] only hands back a thunk for
-   it. *)
+   calling domain, so its per-net classification can itself use the
+   pool (a fan-out nested in a task runs inline): [cached_map] only
+   hands back a thunk for it. *)
 let check_protos ?(cfg = default_config) ?(rules = Rules.default) ?domains
     ?(cached = fun _ -> None) protos =
   Obs.span "erc.hier" @@ fun () ->

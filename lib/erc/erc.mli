@@ -115,10 +115,10 @@ val check_protos :
 (** Hierarchical check.  [cached] is consulted with each prototype's
     subtree hex digest (the caller pairs it with {!config_digest});
     a hit replays the stored verdict without building that level's
-    flat.  Fresh non-root censuses fan out over the pool with Obs
-    suspended ({!Rsg_layout.Flatten.cached_map}); the root is
-    adjudicated on the calling domain so its per-net fan can use the
-    pool.  Instrumented with [erc.hier]. *)
+    flat.  Fresh non-root censuses fan out over the pool
+    ({!Rsg_layout.Flatten.cached_map}); the root is adjudicated on the
+    calling domain so its per-net fan can use the pool.  Instrumented
+    with [erc.hier]. *)
 
 val check_cell :
   ?cfg:config ->

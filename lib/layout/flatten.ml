@@ -468,11 +468,7 @@ let cached_map ?domains ~cached ~prepare ~compute p =
   (* Lazy.force is not domain-safe: every lazy input a computation
      reads is forced here, before the fan-out *)
   Array.iter prepare misses;
-  (* the span tree is single-domain, so the fan-out does not record *)
-  let computed =
-    Rsg_obs.Obs.suspend (fun () ->
-        Rsg_par.Par.chunked_map ?domains ~chunk:1 compute misses)
-  in
+  let computed = Rsg_par.Par.chunked_map ?domains ~chunk:1 compute misses in
   Array.iteri (fun k i -> results.(i) <- Some (computed.(k), false)) misses;
   Array.map (fun j -> Option.get results.(j)) rep
 

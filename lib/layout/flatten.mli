@@ -131,8 +131,8 @@ val cached_map :
     every miss on the calling domain — force there the lazy inputs
     [compute i] reads, since [Lazy.force] is not domain-safe — then
     the misses are computed in one {!Rsg_par.Par.chunked_map} over
-    [domains] under {!Rsg_obs.Obs.suspend} and merged in postorder,
-    so results are identical for every domain count. *)
+    [domains] and merged in postorder, so results are identical for
+    every domain count. *)
 
 (** {1 Subtree content hashing}
 

@@ -211,19 +211,8 @@ let pp_report ppf r =
   List.iter (fun d -> Format.fprintf ppf "@\n  %a" pp d) r.r_diags;
   Format.fprintf ppf "@."
 
-let json_escape s =
-  let buf = Buffer.create (String.length s) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 let report_to_json r =
+  let json_escape = Rsg_obs.Obs.json_escape in
   let buf = Buffer.create 1024 in
   Buffer.add_string buf
     (Printf.sprintf

@@ -1,7 +1,7 @@
-(* Process-wide instrumentation state.  A span is aggregated by name
-   under its parent, so instrumenting a hot loop does not grow the
-   tree; the mutable records are internal and frozen into span_node on
-   read-out. *)
+(* Instrumentation state.  A span is aggregated by name under its
+   parent, so instrumenting a hot loop does not grow the tree; the
+   mutable records are internal and frozen into span_node on read-out.
+   Each domain keeps its own tree, so recording takes no lock. *)
 
 type node = {
   name : string;
@@ -12,26 +12,20 @@ type node = {
 
 let enabled = ref false
 
-(* Set while a domain runs [suspend]ed work.  A domain spawned meanwhile
-   starts with its parent's value, and a Par worker takes its
-   submitter's value for each fan-out ([with_suspended]), so the pause
-   covers exactly one call tree and never another domain's recording. *)
-let suspension = Domain.DLS.new_key ~split_from_parent:Fun.id (fun () -> false)
-
 let mk_root () = { name = "<root>"; total = 0.; count = 0; children = [] }
 
-let root = ref (mk_root ())
+(* a domain's tree and its open spans, innermost first; the root is
+   never on the stack *)
+type state = { mutable root : node; mutable stack : node list }
 
-(* innermost open span; the root sentinel is always at the bottom *)
-let stack = ref []
+let state = Domain.DLS.new_key (fun () -> { root = mk_root (); stack = [] })
 
 let table : (string, int) Hashtbl.t = Hashtbl.create 64
 
-(* Counters are bumped from worker domains (the serve job pool, the
-   batch runner) while the span tree stays single-domain, so the
-   counter table gets its own lock.  Uncontended Mutex.lock is a
-   couple of atomic operations — noise next to a Hashtbl.replace —
-   and counting is a no-op while disabled anyway. *)
+(* Counters are bumped from every domain, so the counter table gets
+   its own lock.  Uncontended Mutex.lock is a couple of atomic
+   operations — noise next to a Hashtbl.replace — and counting is a
+   no-op while disabled anyway. *)
 let table_mutex = Mutex.create ()
 
 let locked f =
@@ -42,25 +36,16 @@ let enable () = enabled := true
 
 let disable () = enabled := false
 
-(* the disabled fast path still reads one ref *)
-let is_enabled () = !enabled && not (Domain.DLS.get suspension)
-
-let suspended () = Domain.DLS.get suspension
-
-let with_suspended s f =
-  let was = Domain.DLS.get suspension in
-  Domain.DLS.set suspension s;
-  Fun.protect ~finally:(fun () -> Domain.DLS.set suspension was) f
-
-let suspend f = with_suspended true f
+let is_enabled () = !enabled
 
 let reset () =
-  root := mk_root ();
-  stack := [];
+  let st = Domain.DLS.get state in
+  st.root <- mk_root ();
+  st.stack <- [];
   locked (fun () -> Hashtbl.reset table)
 
 let count ?(n = 1) name =
-  if is_enabled () then
+  if !enabled then
     locked (fun () ->
         Hashtbl.replace table name
           (n + Option.value ~default:0 (Hashtbl.find_opt table name)))
@@ -73,30 +58,27 @@ let child_named parent name =
     parent.children <- c :: parent.children;
     c
 
-let span name f =
-  if not (is_enabled ()) then f ()
-  else begin
-    let parent = match !stack with [] -> !root | p :: _ -> p in
-    let node = child_named parent name in
-    node.count <- node.count + 1;
-    stack := node :: !stack;
-    let t0 = Unix.gettimeofday () in
-    Fun.protect
-      ~finally:(fun () ->
-        node.total <- node.total +. (Unix.gettimeofday () -. t0);
-        match !stack with
-        | top :: rest when top == node -> stack := rest
-        | _ -> () (* a reset inside the span dropped the stack *))
-      f
-  end
+type branch = node
 
-let record ?(count = 1) name seconds =
-  if is_enabled () then begin
-    let parent = match !stack with [] -> !root | p :: _ -> p in
-    let node = child_named parent name in
-    node.count <- node.count + count;
-    node.total <- node.total +. seconds
-  end
+let branch name =
+  let st = Domain.DLS.get state in
+  child_named (match st.stack with [] -> st.root | p :: _ -> p) name
+
+let within node f =
+  let st = Domain.DLS.get state in
+  let saved = st.stack in
+  node.count <- node.count + 1;
+  st.stack <- node :: saved;
+  let t0 = Unix.gettimeofday () in
+  Fun.protect
+    ~finally:(fun () ->
+      node.total <- node.total +. (Unix.gettimeofday () -. t0);
+      match st.stack with
+      | top :: _ when top == node -> st.stack <- saved
+      | _ -> () (* a reset inside the span dropped the stack *))
+    f
+
+let span name f = if not !enabled then f () else within (branch name) f
 
 let counters () =
   locked (fun () -> Hashtbl.fold (fun name n acc -> (name, n) :: acc) table [])
@@ -115,7 +97,7 @@ let rec freeze n =
     sp_count = n.count;
     sp_children = List.rev_map freeze n.children }
 
-let spans () = (freeze !root).sp_children
+let spans () = (freeze (Domain.DLS.get state).root).sp_children
 
 (* ---- rendering ----------------------------------------------------- *)
 

@@ -1,5 +1,5 @@
-(** Lightweight observability: counters, wall-clock timers and a span
-    tree, shared process-wide.
+(** Lightweight observability: counters, wall-clock timers and span
+    trees.
 
     The hot paths of the generator (graph expansion, constraint
     generation, Bellman-Ford, the PLA and multiplier builders) call
@@ -9,6 +9,22 @@
     under the same parent accumulates rather than growing the tree, so
     a loop of ten thousand expansions stays one node) and counters
     accumulate process-wide totals.
+
+    {b Domains.}  Each domain records spans into its own tree, so
+    recording takes no lock and spans opened on different domains
+    never interleave.  The systhreads of one domain share its tree and
+    its stack of open spans, so spans opened by two threads of one
+    domain at once can nest into each other.  A {!Rsg_par.Par}
+    fan-out records into the submitter's tree: each participant [k]
+    records its share under its own [par.domain<k>] node ({!branch},
+    {!within}) beneath the submitter's innermost span.  The readers ({!spans}, {!pp}, {!to_json}) and {!reset}
+    work on the calling domain's tree, which therefore covers every
+    fan-out it submitted.  Spans opened on another domain outside any
+    fan-out (the serve daemon's job workers, a raw [Domain.spawn])
+    stay in that domain's own tree, which nothing reads.
+
+    Counters are one process-wide table guarded by a lock: a count
+    made on any domain, in a fan-out or not, is kept.
 
     Typical use, as in [bin/rsg_cli.ml] and [bench/main.ml]:
 
@@ -21,52 +37,42 @@
 
 val enable : unit -> unit
 (** Start recording (and implicitly {!reset} nothing — prior data is
-    kept so enable/disable can bracket phases). *)
+    kept so enable/disable can bracket phases).  Recording is on or
+    off for every domain at once. *)
 
 val disable : unit -> unit
 
 val is_enabled : unit -> bool
-(** Recording is on and the calling domain is not inside {!suspend}. *)
-
-val suspend : (unit -> 'a) -> 'a
-(** [suspend f] runs [f ()] with recording off on the calling domain,
-    on every {!Rsg_par.Par} worker while it runs a fan-out submitted
-    from [f], and on every domain spawned while [f] runs; other
-    domains keep recording.  Work that fans out from a domain other
-    than the span tree's owner runs under it, because the span tree
-    must only be touched from one domain. *)
-
-val suspended : unit -> bool
-(** The calling domain is inside {!suspend}. *)
-
-val with_suspended : bool -> (unit -> 'a) -> 'a
-(** [with_suspended s f] runs [f ()] with the calling domain's
-    suspension set to [s], restoring it afterwards.  A resident worker
-    runs each job under its submitter's {!suspended}, whatever state
-    the worker was created in. *)
+(** Recording is on. *)
 
 val reset : unit -> unit
-(** Drop all recorded spans and counters; recording state unchanged. *)
+(** Drop the calling domain's spans and every counter; recording state
+    unchanged. *)
 
 val count : ?n:int -> string -> unit
-(** Add [n] (default 1) to the named counter.  No-op when disabled.
-    Unlike spans, counters are domain-safe: the table is guarded by a
-    lock, so pool workers (lib/par, the serve job pool) may count
-    directly instead of handing deltas back to the coordinator. *)
+(** Add [n] (default 1) to the named process-wide counter, from any
+    domain.  No-op when disabled. *)
 
 val span : string -> (unit -> 'a) -> 'a
-(** [span name f] times [f ()] under [name] in the span tree rooted at
-    the innermost enclosing span.  Time is recorded even when [f]
+(** [span name f] times [f ()] under [name] beneath the calling
+    domain's innermost open span.  Time is recorded even when [f]
     raises.  When disabled, equivalent to [f ()]. *)
 
-val record : ?count:int -> string -> float -> unit
-(** [record name seconds] adds an externally-timed span under the
-    innermost enclosing span, as if [span name] had run for [seconds]
-    ([count] entries, default 1).  For work timed off the main thread:
-    the span tree is process-global mutable state and must only be
-    touched from one domain, so parallel workers time themselves and
-    the coordinator records the measurements after joining.  No-op
-    when disabled. *)
+type branch
+(** A span node handed from one domain to another. *)
+
+val branch : string -> branch
+(** [branch name] is the node [name] beneath the calling domain's
+    innermost open span, created if absent; it is not entered. *)
+
+val within : branch -> (unit -> 'a) -> 'a
+(** [within b f] runs [f ()] on the calling domain with [b] as its
+    innermost open span, entering [b] once and adding the elapsed time
+    to it, so spans [f] opens land beneath [b] in the tree [b] was
+    created in.  Only one domain at a time may be within [b], and the
+    tree's own domain must not read it meanwhile: a fan-out creates one
+    branch per participant before it starts, and the submitter reads
+    its tree only after the join. *)
 
 val counters : unit -> (string * int) list
 (** Recorded counters, sorted by name. *)
@@ -79,7 +85,7 @@ type span_node = {
 }
 
 val spans : unit -> span_node list
-(** Top-level spans, in first-entry order. *)
+(** The calling domain's top-level spans, in first-entry order. *)
 
 val pp : Format.formatter -> unit -> unit
 (** Human-readable report: the span tree with per-phase seconds,
@@ -92,3 +98,7 @@ val dump : ?oc:out_channel -> unit -> unit
 val to_json : unit -> string
 (** The same data as a JSON object
     [{"spans": [...], "counters": {...}}]. *)
+
+val json_escape : string -> string
+(** The body of a JSON string literal holding [s]: quote, backslash
+    and every control character escaped, other bytes kept. *)

@@ -123,12 +123,10 @@ let held = Atomic.make false
 
 (* Run [body i] for every [i < n] on up to [d] participants (the caller
    plus [d - 1] helpers), chunk self-scheduling off one atomic counter.
-   Every participant finishes before anything is raised, and its busy
-   time is recorded as [par.domain<k>]. *)
+   Every participant finishes before anything is raised. *)
 let run_chunks ~domains:d ~chunk n body =
   let next = Atomic.make 0 in
   let share () =
-    let t0 = Unix.gettimeofday () in
     let rec loop () =
       let start = Atomic.fetch_and_add next chunk in
       if start < n then begin
@@ -139,40 +137,40 @@ let run_chunks ~domains:d ~chunk n body =
         loop ()
       end
     in
-    match loop () with
-    | () -> Ok (Unix.gettimeofday () -. t0)
-    | exception e -> Error e
+    match loop () with () -> None | exception e -> Some e
   in
-  let results =
+  let failures =
     if not (Atomic.compare_and_set held false true) then [| share () |]
     else
       Fun.protect ~finally:(fun () -> Atomic.set held false) @@ fun () ->
       while Array.length !crew < d - 1 do
         crew := Array.append !crew [| Pool.create ~domains:1 () |]
       done;
-      let results = Array.make d (Ok 0.) in
-      let suspended = Obs.suspended () in
+      (* participant [k] records its share under its own node, made
+         here before the fan-out and touched by no one else until the
+         join *)
+      let share =
+        if not (Obs.is_enabled ()) then fun _ -> share ()
+        else
+          let nodes =
+            Array.init d (fun k -> Obs.branch (Printf.sprintf "par.domain%d" k))
+          in
+          fun k -> Obs.within nodes.(k) share
+      in
+      let failures = Array.make d None in
       (* crew pools are unbounded and never shut down; a helper that
          started late finds the chunks claimed and returns at once *)
       for k = 1 to d - 1 do
         ignore
-          (Pool.try_submit !crew.(k - 1) (fun () ->
-               results.(k) <- Obs.with_suspended suspended share))
+          (Pool.try_submit !crew.(k - 1) (fun () -> failures.(k) <- share k))
       done;
-      results.(0) <- share ();
+      failures.(0) <- share 0;
       for k = 1 to d - 1 do
         Pool.wait_idle !crew.(k - 1)
       done;
-      results
+      failures
   in
-  if Obs.is_enabled () then
-    Array.iteri
-      (fun k r ->
-        match r with
-        | Ok seconds -> Obs.record (Printf.sprintf "par.domain%d" k) seconds
-        | Error _ -> ())
-      results;
-  Array.iter (function Error e -> raise e | Ok _ -> ()) results
+  Array.iter (Option.iter raise) failures
 
 let map_in ~domains:d ~chunk span_name f xs =
   let n = Array.length xs in

@@ -23,8 +23,6 @@
     - One fan-out holds the crew at a time.  A fan-out nested in a
       task, or submitted from another domain while the crew is busy,
       runs all its tasks inline on its caller.
-    - A helper runs each fan-out under its submitter's
-      {!Rsg_obs.Obs.suspend} state, not the state it was created in.
 
     A resident helper has two costs a per-call spawn did not.
     [Unix.fork] fails once one exists ("Unix.fork may not be called
@@ -33,13 +31,14 @@
     joins every stop-the-world minor collection, so sequential phases
     burn some extra CPU once a crew exists.
 
-    Tasks must be independent: [f] must not touch shared mutable state,
-    and in particular must not open {!Rsg_obs.Obs} spans (the span tree
-    is process-global and single-domain; counters are domain-safe).
-    The pool itself reports per-run and per-participant busy times to
-    [Obs] from the calling domain ([par.map] / [par.chunked_map] spans
-    with [par.domain<k>] children), so callers get domain-utilisation
-    observability for free.
+    Tasks must be independent: [f] must not touch shared mutable state.
+    While {!Rsg_obs.Obs} records, a fan-out that holds the crew opens
+    one [par.domain<k>] node per participant beneath the caller's
+    [par.map] / [par.chunked_map] span; participant [k] is entered
+    there once, for its busy time, and the spans its tasks open land
+    beneath it, so the caller's span tree shows every task and each
+    domain's utilisation.  The tasks of an inline fan-out record
+    directly beneath its [par.map] / [par.chunked_map] span.
 
     If a task raises, every participant still finishes its share and
     then one of the raised exceptions is re-raised on the caller; the
@@ -77,9 +76,10 @@ val chunked_map : ?domains:int -> ?chunk:int -> ('a -> 'b) -> 'a array -> 'b arr
 
     Tasks are [unit -> unit] closures that must not raise for control
     flow (a raised exception is swallowed so it cannot take the worker
-    down; report errors through the closure's own channel) and must
-    not touch {!Rsg_obs.Obs} spans (counters are fine — they are
-    domain-safe). *)
+    down; report errors through the closure's own channel).  Spans a
+    task opens are recorded in its worker domain's own {!Rsg_obs.Obs}
+    tree; only a fan-out's shares record under the submitter's
+    [par.domain<k>] nodes. *)
 module Pool : sig
   type t
 

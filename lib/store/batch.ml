@@ -34,6 +34,7 @@ let generate store job =
   (cell, flat)
 
 let run_one store job =
+  Obs.span ("batch." ^ job.j_name) @@ fun () ->
   let t0 = Unix.gettimeofday () in
   let outcome, cell, flat =
     match
@@ -55,6 +56,12 @@ let run_one store job =
     | exception exn -> (Failed (Printexc.to_string exn), None, None)
   in
   let seconds = Unix.gettimeofday () -. t0 in
+  Obs.count
+    (match outcome with
+    | Hit -> "batch.hit"
+    | Generated -> "batch.miss"
+    | Regenerated _ -> "batch.corrupt"
+    | Failed _ -> "batch.failed");
   {
     r_job = job;
     r_outcome = outcome;
@@ -66,20 +73,5 @@ let run_one store job =
   }
 
 let run ?domains ?store jobs =
-  let arr = Array.of_list jobs in
-  (* Workers must not touch the span tree: recording is suspended for
-     the parallel section and per-job timings are replayed from this
-     domain after the join. *)
-  let results =
-    Obs.suspend (fun () -> Par.chunked_map ?domains ~chunk:1 (run_one store) arr)
-  in
-  Array.iter
-    (fun r ->
-      Obs.record ("batch." ^ r.r_job.j_name) r.r_seconds;
-      match r.r_outcome with
-      | Hit -> Obs.count "batch.hit"
-      | Generated -> Obs.count "batch.miss"
-      | Regenerated _ -> Obs.count "batch.corrupt"
-      | Failed _ -> Obs.count "batch.failed")
-    results;
-  Array.to_list results
+  Array.to_list
+    (Par.chunked_map ?domains ~chunk:1 (run_one store) (Array.of_list jobs))

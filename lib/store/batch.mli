@@ -10,11 +10,9 @@
     scheduling, so summaries and outputs are bit-identical for any
     domain count.
 
-    Observability: the {!Rsg_obs.Obs} span tree is process-global and
-    single-domain, so recording is suspended while workers run; each
-    worker times itself and [run] records a per-job span
-    ([batch.<name>]) plus hit/miss counters after joining, from the
-    calling domain. *)
+    Observability: each job runs in an {!Rsg_obs.Obs} span
+    [batch.<name>] and bumps one of the counters [batch.hit],
+    [batch.miss], [batch.corrupt] and [batch.failed]. *)
 
 open Rsg_layout
 

@@ -155,6 +155,16 @@ let test_json () =
   Alcotest.(check bool) "json counts one error" true
     (Str.string_match (Str.regexp ".*\"errors\":1.*") json 0)
 
+(* Every control character is escaped: JSON strings may hold none raw. *)
+let test_json_escapes_controls () =
+  let d = Diag.make ~file:"bad\tname\r.def" ~line:1 "L101" "tab\t cr\r" in
+  let r = Diag.report ~source:"a\tb\rc" ~checked:1 [ d ] in
+  let json = Diag.report_to_json r in
+  Alcotest.(check (list int)) "no raw control byte" []
+    (List.filter_map
+       (fun c -> if Char.code c < 0x20 then Some (Char.code c) else None)
+       (List.of_seq (String.to_seq json)))
+
 (* ------------------------------------------------------------------ *)
 (* Graph front end                                                     *)
 
@@ -418,7 +428,9 @@ let () =
          Alcotest.test_case "unknown env downgrade" `Quick
            test_unbound_downgrades_without_params;
          Alcotest.test_case "locations" `Quick test_diag_locations;
-         Alcotest.test_case "json" `Quick test_json ]);
+         Alcotest.test_case "json" `Quick test_json;
+         Alcotest.test_case "json escapes control characters" `Quick
+           test_json_escapes_controls ]);
       ("design-mutations",
        [ Alcotest.test_case "unbound (L101)" `Quick test_mutation_unbound;
          Alcotest.test_case "unused local (L102)" `Quick

@@ -92,37 +92,31 @@ let test_reset_clears () =
     (Obs.counters ());
   Alcotest.(check int) "spans gone" 0 (List.length (Obs.spans ()))
 
-(* A suspension belongs to one domain and the domains it spawns: while
-   a worker runs suspended, the main domain keeps recording. *)
-let test_suspend_is_domain_local () =
+(* Each domain records its own span tree: spans opened on several
+   domains at once never nest into one another's. *)
+let test_concurrent_domains () =
   fresh ();
-  let entered = Atomic.make false and release = Atomic.make false in
-  let worker =
-    Domain.spawn (fun () ->
-        Obs.suspend (fun () ->
-            Obs.count "suspended";
-            Domain.join (Domain.spawn (fun () -> Obs.count "suspended"));
-            Atomic.set entered true;
-            while not (Atomic.get release) do
-              Domain.cpu_relax ()
-            done);
-        Obs.count "worker")
+  let rec paths prefix s =
+    let p = prefix ^ "/" ^ s.Obs.sp_name in
+    (p, s.Obs.sp_count) :: List.concat_map (paths p) s.Obs.sp_children
   in
-  while not (Atomic.get entered) do
-    Domain.cpu_relax ()
-  done;
-  Alcotest.(check bool) "main still records" true (Obs.is_enabled ());
-  Obs.count "main";
-  Obs.span "main span" (fun () -> ());
-  Atomic.set release true;
-  Domain.join worker;
+  let run () =
+    for _ = 1 to 10_000 do
+      Obs.span "a" (fun () -> Obs.span "b" ignore)
+    done;
+    List.concat_map (paths "") (Obs.spans ())
+  in
+  let others = List.init 2 (fun _ -> Domain.spawn run) in
+  let mine = run () in
+  let trees = mine :: List.map Domain.join others in
   Obs.disable ();
-  Alcotest.(check (list (pair string int)))
-    "only unsuspended counts"
-    [ ("main", 1); ("worker", 1) ]
-    (Obs.counters ());
-  Alcotest.(check (list string)) "main span kept" [ "main span" ]
-    (List.map (fun s -> s.Obs.sp_name) (Obs.spans ()))
+  List.iteri
+    (fun i tree ->
+      Alcotest.(check (list (pair string int)))
+        (Printf.sprintf "domain %d's own tree" i)
+        [ ("/a", 10_000); ("/a/b", 10_000) ]
+        tree)
+    trees
 
 let () =
   Alcotest.run "rsg_obs"
@@ -138,5 +132,5 @@ let () =
          Alcotest.test_case "json rendering" `Quick
            test_json_mentions_everything;
          Alcotest.test_case "reset clears" `Quick test_reset_clears;
-         Alcotest.test_case "suspend is domain-local" `Quick
-           test_suspend_is_domain_local ]) ]
+         Alcotest.test_case "spans on concurrent domains never interleave"
+           `Quick test_concurrent_domains ]) ]

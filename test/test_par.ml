@@ -144,13 +144,10 @@ let test_crew_concurrent () =
   Alcotest.(check bool) "first domain" true ok_a;
   Alcotest.(check bool) "second domain" true ok_b
 
-(* A worker runs each fan-out under its submitter's suspension, not
-   under the state it was created in.  Six participants is more than
-   any other test asks for, so the fan-out inside the suspension
-   creates workers. *)
-let test_crew_suspension () =
-  let domains = 6 in
-  let task _ = Obs.count "par.test.task" in
+(* Each participant records its share of a fan-out under its own
+   [par.domain<k>] node of the submitter's tree. *)
+let test_fanout_spans_graft () =
+  let domains = 4 in
   Obs.reset ();
   Obs.enable ();
   Fun.protect
@@ -158,13 +155,25 @@ let test_crew_suspension () =
       Obs.disable ();
       Obs.reset ())
     (fun () ->
-      ignore (Obs.suspend (fun () -> meet ~domains task));
-      Alcotest.(check (list (pair string int))) "suspended adds nothing" []
-        (Obs.counters ());
-      ignore (meet ~domains task);
-      Alcotest.(check (list (pair string int))) "one count per task"
-        [ ("par.test.task", domains) ]
-        (Obs.counters ()))
+      ignore
+        (meet ~domains (fun _ -> Obs.span "t" (fun () -> Obs.count "c")));
+      let participant s =
+        match s.Obs.sp_children with
+        | [ t ] when t.Obs.sp_name = "t" && t.Obs.sp_children = [] ->
+          (s.Obs.sp_name, t.Obs.sp_count)
+        | _ -> Alcotest.failf "%s: not one leaf span t" s.Obs.sp_name
+      in
+      match Obs.spans () with
+      | [ m ] when m.Obs.sp_name = "par.map" ->
+        let shares = List.map participant m.Obs.sp_children in
+        Alcotest.(check (list string)) "one node per participant"
+          (List.init domains (Printf.sprintf "par.domain%d"))
+          (List.sort compare (List.map fst shares));
+        Alcotest.(check int) "every task's span" domains
+          (List.fold_left (fun a (_, n) -> a + n) 0 shares);
+        Alcotest.(check (list (pair string int))) "every task's count"
+          [ ("c", domains) ] (Obs.counters ())
+      | _ -> Alcotest.fail "expected one top-level par.map span")
 
 let test_default_domains_env () =
   Alcotest.(check bool) "recommended >= 1" true (Par.recommended () >= 1);
@@ -186,8 +195,10 @@ let () =
        [ Alcotest.test_case "reuse" `Quick test_crew_reuse;
          Alcotest.test_case "growth" `Quick test_crew_growth;
          Alcotest.test_case "nested" `Quick test_crew_nested;
-         Alcotest.test_case "concurrent" `Quick test_crew_concurrent;
-         Alcotest.test_case "suspension" `Quick test_crew_suspension ]);
+         Alcotest.test_case "concurrent" `Quick test_crew_concurrent ]);
+      ("obs",
+       [ Alcotest.test_case "fan-out spans graft under the submitter" `Quick
+           test_fanout_spans_graft ]);
       ("config",
        [ Alcotest.test_case "domain counts" `Quick test_default_domains_env ])
     ]

@@ -220,6 +220,78 @@ let test_chains_keep_obs_counts () =
   Alcotest.(check (option int)) "every lookup counted"
     (Some (Atomic.get lookups)) counted
 
+(* ------------------------------------------------------------------ *)
+(* Obs spans are the same at every domain count                        *)
+
+module Obs = Rsg_obs.Obs
+
+(* Span paths with their entry counts, the pool's own par.* levels
+   spliced out (children promoted, then merged by name). *)
+let spliced_paths spans =
+  let tbl = Hashtbl.create 64 in
+  let rec walk prefix s =
+    if String.starts_with ~prefix:"par." s.Obs.sp_name then
+      List.iter (walk prefix) s.Obs.sp_children
+    else begin
+      let p = prefix ^ "/" ^ s.Obs.sp_name in
+      Hashtbl.replace tbl p
+        (s.Obs.sp_count + Option.value ~default:0 (Hashtbl.find_opt tbl p));
+      List.iter (walk p) s.Obs.sp_children
+    end
+  in
+  List.iter (walk "") spans;
+  List.sort compare (Hashtbl.fold (fun p n acc -> (p, n) :: acc) tbl [])
+
+(* Hierarchical DRC and ERC, flat DRC and a two-chain placement anneal
+   of the cell, recorded at [domains]. *)
+let observed cell domains =
+  Obs.reset ();
+  Obs.enable ();
+  Fun.protect
+    ~finally:(fun () ->
+      Obs.disable ();
+      Obs.reset ())
+    (fun () ->
+      let protos = Rsg_layout.Flatten.prototypes cell in
+      ignore (Rsg_drc.Drc.check_protos ~domains protos);
+      ignore (Rsg_erc.Erc.check_protos ~domains protos);
+      ignore
+        (Rsg_drc.Drc.check_flat ~domains (Rsg_layout.Flatten.protos_flat protos));
+      ignore
+        (Anneal.run ~domains ~chains:2 ~iters:4 ~seed:5 Place_opt.problem
+           (Place_opt.make ~rules [ cell; cell ]));
+      (spliced_paths (Obs.spans ()), Obs.counters ()))
+
+let check_obs_agree name cell =
+  let spans1, counters1 = observed cell 1 in
+  List.iter
+    (fun d ->
+      let spans, counters = observed cell d in
+      Alcotest.(check (list (pair string int)))
+        (Printf.sprintf "%s spans 1=%d" name d) spans1 spans;
+      Alcotest.(check (list (pair string int)))
+        (Printf.sprintf "%s counters 1=%d" name d) counters1 counters)
+    [ 2; 4 ]
+
+let test_obs_builtins_agree () =
+  List.iter
+    (fun (name, cell) -> check_obs_agree name cell)
+    [ ( "pla",
+        (Gen.generate (Truth_table.of_strings [ ("10-", "10"); ("0-1", "01") ]))
+          .Gen.cell );
+      ("decoder", (Gen.generate_decoder 3).Gen.cell);
+      ( "ram",
+        (Rsg_ram.Ram_gen.generate ~words:8 ~bits:4 ()).Rsg_ram.Ram_gen.cell );
+      ( "multiplier",
+        (Rsg_mult.Layout_gen.generate ~xsize:4 ~ysize:4 ())
+          .Rsg_mult.Layout_gen.whole ) ]
+
+let prop_obs_random_plas_agree =
+  QCheck.Test.make ~count:8 ~name:"random PLAs: spans agree at domains 1, 2, 4"
+    tt_arb (fun tt ->
+      check_obs_agree "pla" (Gen.generate tt).Gen.cell;
+      true)
+
 let () =
   Alcotest.run "search"
     [
@@ -243,5 +315,11 @@ let () =
             `Quick test_place_domain_identity;
           Alcotest.test_case "place: chains keep Obs counts" `Quick
             test_chains_keep_obs_counts;
+        ] );
+      ( "obs",
+        [
+          Alcotest.test_case "builtins: spans agree at domains 1, 2, 4" `Quick
+            test_obs_builtins_agree;
+          QCheck_alcotest.to_alcotest prop_obs_random_plas_agree;
         ] );
     ]
