@@ -56,19 +56,19 @@ let row fmt = Format.printf ("  " ^^ fmt ^^ "@.")
 
 let json_enabled = ref false
 
-let json_fields : (string * string) list ref = ref []
+let json_fields : (string * Rsg_obs.Json.t) list ref = ref []
 
-let json_put key rendered =
-  if !json_enabled then json_fields := (key, rendered) :: !json_fields
+let json_put key v =
+  if !json_enabled then json_fields := (key, v) :: !json_fields
 
-let json_num key v = json_put key (Printf.sprintf "%.6g" v)
+let json_num key v =
+  json_put key (Rsg_obs.Json.Float (float_of_string (Printf.sprintf "%.6g" v)))
 
-let json_int key v = json_put key (string_of_int v)
+let json_int key v = json_put key (Rsg_obs.Json.Int v)
 
-let json_bool key v = json_put key (if v then "true" else "false")
+let json_bool key v = json_put key (Rsg_obs.Json.Bool v)
 
-let json_str key v =
-  json_put key (Printf.sprintf "\"%s\"" (Rsg_obs.Obs.json_escape v))
+let json_str key v = json_put key (Rsg_obs.Json.String v)
 
 (* Write BENCH_<id>.json into the current directory if the finished
    section recorded anything; always reset the collector so one
@@ -78,14 +78,8 @@ let flush_json id =
   json_fields := [];
   if !json_enabled && fields <> [] then begin
     let file = Printf.sprintf "BENCH_%s.json" id in
-    let oc = open_out file in
-    output_string oc "{\n";
-    let n = List.length fields in
-    List.iteri
-      (fun i (k, v) ->
-        Printf.fprintf oc "  \"%s\": %s%s\n" k v (if i < n - 1 then "," else ""))
-      fields;
-    output_string oc "}\n";
-    close_out oc;
+    Out_channel.with_open_bin file (fun oc ->
+        output_string oc (Rsg_obs.Json.to_string (Rsg_obs.Json.Obj fields));
+        output_char oc '\n');
     Format.printf "  [json: %s]@." file
   end

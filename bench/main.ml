@@ -1314,7 +1314,7 @@ let e28 () =
   let module Serve = Rsg_serve.Serve in
   let module Client = Rsg_serve.Client in
   let module Load = Rsg_serve.Load in
-  let module Json = Rsg_serve.Json in
+  let module Json = Rsg_obs.Json in
   let tmp =
     Filename.concat
       (Filename.get_temp_dir_name ())
@@ -1737,7 +1737,7 @@ let e30 () =
       let same =
         (match per_domain with
         | [] -> true
-        | f :: rest -> List.for_all (String.equal f) rest)
+        | f :: rest -> List.for_all (( = ) f) rest)
         && Rsg_lint.Diag.report_to_json (Erc.to_diags rw)
            = Rsg_lint.Diag.report_to_json (Erc.to_diags r)
       in

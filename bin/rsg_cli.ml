@@ -26,6 +26,8 @@ open Rsg_geom
 open Rsg_layout
 open Rsg_core
 module Obs = Rsg_obs.Obs
+module Json = Rsg_obs.Json
+module Jobspec = Rsg_serve.Jobspec
 
 (* ---- observability flags ------------------------------------------- *)
 
@@ -46,10 +48,13 @@ let obs_term =
   in
   Term.(const (fun a b -> (a, b)) $ obs $ obs_json)
 
+let json_flag =
+  Arg.(value & flag & info [ "json" ] ~doc:"Emit the result as JSON on stdout.")
+
 let with_obs (text, json) f =
   if text || json then Obs.enable ();
   Fun.protect f ~finally:(fun () ->
-      if json then prerr_endline (Obs.to_json ())
+      if json then prerr_endline (Json.to_string (Obs.to_json ()))
       else if text then Obs.dump ())
 
 (* reads to end of input, so pipes work as well as files *)
@@ -181,29 +186,6 @@ let lint_gate enabled ~source cfg text =
       exit 1
     end
   end
-
-let mult_lint_config ~size () =
-  let sample, _ = Rsg_mult.Sample_lib.build () in
-  let params =
-    Rsg_lang.Param.parse (Rsg_mult.Sample_lib.param_file ~xsize:size ~ysize:size)
-  in
-  Rsg_lint.Design_lint.config_of_params ~cells:(Db.names sample.Sample.db) params
-
-let pla_lint_config ~ninputs ~noutputs ~nterms () =
-  let sample, _ = Rsg_pla.Pla_cells.build () in
-  let params =
-    Rsg_lang.Param.parse
-      (Rsg_pla.Pla_design_file.param_file ~ninputs ~noutputs ~nterms ~name:"pla")
-  in
-  let cfg =
-    Rsg_lint.Design_lint.config_of_params ~cells:(Db.names sample.Sample.db)
-      params
-  in
-  (* the encoding tables are host-installed globals (delayed binding) *)
-  { cfg with
-    Rsg_lint.Design_lint.globals =
-      "lits" :: "outs" :: cfg.Rsg_lint.Design_lint.globals
-  }
 
 (* ---- layout store wiring ------------------------------------------- *)
 
@@ -502,7 +484,7 @@ let generate_cmd =
 let multiplier size out stats lint drc erc domains store obs =
   with_obs obs @@ fun () ->
   let gen () =
-    lint_gate lint ~source:"mult.def(builtin)" (mult_lint_config ~size ())
+    lint_gate lint ~source:"mult.def(builtin)" (Jobspec.mult_lint_config ~size)
       Rsg_mult.Design_file.text;
     (Rsg_mult.Layout_gen.generate ~xsize:size ~ysize:size ())
       .Rsg_mult.Layout_gen.whole
@@ -535,6 +517,8 @@ module Anneal = Rsg_search.Anneal
    re-saved.  The key deliberately excludes seed/iters/chains, so a
    re-run with a different budget still replays every revisited
    state.  Chatter goes to stderr to keep --json stdout pure. *)
+let strategy_name = function `Greedy -> "greedy" | `Anneal -> "anneal"
+
 let run_search ?domains ~cache ~stem ~label ~design ~rules ~seed ~iters
     ~chains ~strategy problem init base_cell =
   let rules_digest = Rsg_compact.Rules.digest rules in
@@ -562,9 +546,9 @@ let run_search ?domains ~cache ~stem ~label ~design ~rules ~seed ~iters
   Format.eprintf
     "search: %s seed=%d chains=%d iters=%d area %d -> %d (computed %d, \
      cached %d)@."
-    (match strategy with `Greedy -> "greedy" | `Anneal -> "anneal")
-    seed s.Anneal.st_chains s.Anneal.st_iters r.Anneal.r_initial_cost
-    r.Anneal.r_cost s.Anneal.st_computed s.Anneal.st_cached;
+    (strategy_name strategy) seed s.Anneal.st_chains s.Anneal.st_iters
+    r.Anneal.r_initial_cost r.Anneal.r_cost s.Anneal.st_computed
+    s.Anneal.st_cached;
   (* the prior and this run's evaluations, all on the root record *)
   let evals =
     lazy
@@ -652,10 +636,9 @@ let pla table out stats fold fold_opt seed iters chains strategy lint drc erc
   | tt ->
     let gen () =
       lint_gate lint ~source:"pla.def(builtin)"
-        (pla_lint_config ~ninputs:tt.Rsg_pla.Truth_table.n_inputs
+        (Jobspec.pla_lint_config ~ninputs:tt.Rsg_pla.Truth_table.n_inputs
            ~noutputs:tt.Rsg_pla.Truth_table.n_outputs
-           ~nterms:(List.length tt.Rsg_pla.Truth_table.terms)
-           ())
+           ~nterms:(List.length tt.Rsg_pla.Truth_table.terms))
         Rsg_pla.Pla_design_file.text;
       if fold_opt then begin
         let rules = Rsg_compact.Rules.default in
@@ -703,9 +686,8 @@ let pla table out stats fold fold_opt seed iters chains strategy lint drc erc
     in
     let variant =
       if fold_opt then
-        Printf.sprintf "+fold-opt:%s:%d:%d:%d"
-          (match strategy with `Greedy -> "greedy" | `Anneal -> "anneal")
-          seed iters chains
+        Printf.sprintf "+fold-opt:%s:%d:%d:%d" (strategy_name strategy) seed
+          iters chains
       else if fold then "+fold"
       else ""
     in
@@ -853,52 +835,49 @@ let sim_cmd =
       $ Arg.(required & pos 0 (some int) None & info [] ~docv:"A")
       $ Arg.(required & pos 1 (some int) None & info [] ~docv:"B"))
 
-(* ---- stats --------------------------------------------------------- *)
+(* ---- inputs -------------------------------------------------------- *)
 
-let top_cell_of_cif path =
-  let r = Cif.read_file path in
-  (* the top is either the explicit top-level call or the symbol no
-     other symbol instantiates *)
-  match r.Cif.top with
-  | Some top -> (
-    match Cell.instances top with
-    | [ i ] -> i.Cell.def
-    | _ -> top)
-  | None -> (
-    let called = Hashtbl.create 16 in
-    List.iter
-      (fun c ->
-        List.iter
-          (fun (i : Cell.instance) ->
-            Hashtbl.replace called i.Cell.def.Cell.cname ())
-          (Cell.instances c))
-      (Db.cells r.Cif.db);
-    match
-      List.filter (fun c -> not (Hashtbl.mem called c.Cell.cname)) (Db.cells r.Cif.db)
-    with
-    | [ c ] -> c
-    | _ -> failwith "cannot determine the top cell")
+(* a command's target: a builtin or a file; by default a builtin
+   generator or a CIF file, resolved as the serve daemon resolves it *)
+let target_pos ?(doc = "CIF layout, or builtin: pla, ram, multiplier, decoder.")
+    () =
+  Arg.(pos 0 (some string) None & info [] ~docv:"FILE|BUILTIN" ~doc)
 
-(* a layout utility's input: positional CIF or --from-db database *)
-let utility_cell what path from_db =
-  match (path, from_db) with
-  | Some p, None -> top_cell_of_cif p
-  | None, Some db -> (load_db db).Codec.e_cell
+let target_cell t =
+  match Jobspec.target_cell t with
+  | Ok cell -> cell
+  | Error msg ->
+    Format.eprintf "%s@." msg;
+    exit 1
+
+let cif_pos = Arg.(value & pos 0 (some file) None & info [] ~docv:"FILE")
+
+(* a command's input: its positional argument ([what] in the errors)
+   or a --from-db database, exactly one of them *)
+let input_of cmd ~what arg from_db =
+  match (arg, from_db) with
+  | Some a, None -> Either.Left a
+  | None, Some db -> Either.Right db
   | Some _, Some _ ->
-    Format.eprintf "%s: give either a CIF file or --from-db, not both@." what;
+    Format.eprintf "%s: give either %s or --from-db, not both@." cmd what;
     exit 1
   | None, None ->
-    Format.eprintf "%s: need a CIF file or --from-db@." what;
+    Format.eprintf "%s: need %s or --from-db@." cmd what;
     exit 1
+
+(* a layout utility's input: positional CIF or --from-db database *)
+let utility_cell cmd path from_db =
+  match input_of cmd ~what:"a CIF file" path from_db with
+  | Either.Left p -> Jobspec.top_cell_of_cif p
+  | Either.Right db -> (load_db db).Codec.e_cell
+
+(* ---- stats --------------------------------------------------------- *)
 
 let stats_cmd =
   let run path from_db = print_stats (utility_cell "stats" path from_db) in
   Cmd.v
     (Cmd.info "stats" ~doc:"Print statistics for a CIF layout")
-    Term.(
-      const run
-      $ Arg.(value & pos 0 (some file) None & info [] ~docv:"FILE")
-      $ from_db_arg)
+    Term.(const run $ cif_pos $ from_db_arg)
 
 (* ---- masks --------------------------------------------------------- *)
 
@@ -917,9 +896,7 @@ let masks_cmd =
     (Cmd.info "masks"
        ~doc:"Expand synthetic contact layers to lithographic masks")
     Term.(
-      const masks
-      $ Arg.(value & pos 0 (some file) None & info [] ~docv:"FILE")
-      $ from_db_arg $ out_arg "masks.cif")
+      const masks $ cif_pos $ from_db_arg $ out_arg "masks.cif")
 
 (* ---- compact ------------------------------------------------------- *)
 
@@ -978,31 +955,10 @@ let compact_cmd =
   Cmd.v
     (Cmd.info "compact" ~doc:"Constraint-graph compaction of a CIF layout")
     Term.(
-      const compact
-      $ Arg.(value & pos 0 (some file) None & info [] ~docv:"FILE")
-      $ from_db_arg $ out_arg "compacted.cif" $ slack_flag $ hier_flag
-      $ domains_term $ drc_flag $ obs_term)
+      const compact $ cif_pos $ from_db_arg $ out_arg "compacted.cif"
+      $ slack_flag $ hier_flag $ domains_term $ drc_flag $ obs_term)
 
 (* ---- drc ----------------------------------------------------------- *)
-
-(* The target is either a CIF file or a builtin generator name, so the
-   checker can be exercised without a layout at hand. *)
-let drc_target = function
-  | "pla" ->
-    let tt =
-      Rsg_pla.Truth_table.of_strings [ ("10-", "10"); ("0-1", "01") ]
-    in
-    (Rsg_pla.Gen.generate tt).Rsg_pla.Gen.cell
-  | "ram" -> (Rsg_ram.Ram_gen.generate ~words:8 ~bits:4 ()).Rsg_ram.Ram_gen.cell
-  | "multiplier" ->
-    (Rsg_mult.Layout_gen.generate ~xsize:8 ~ysize:8 ()).Rsg_mult.Layout_gen.whole
-  | "decoder" -> (Rsg_pla.Gen.generate_decoder 3).Rsg_pla.Gen.cell
-  | path when Sys.file_exists path -> top_cell_of_cif path
-  | other ->
-    Format.eprintf
-      "%s is neither a file nor a builtin (pla, ram, multiplier, decoder)@."
-      other;
-    exit 1
 
 let drc target from_db rules json max_shown self_check compacted domains obs =
   with_obs obs @@ fun () ->
@@ -1018,17 +974,11 @@ let drc target from_db rules json max_shown self_check compacted domains obs =
   (* the stored flat view lets a --from-db check skip flattening too,
      unless compaction rewrites the geometry first *)
   let cell, stored_flat =
-    match (target, from_db) with
-    | Some t, None -> (drc_target t, None)
-    | None, Some db ->
+    match input_of "drc" ~what:"a target" target from_db with
+    | Either.Left t -> (target_cell t, None)
+    | Either.Right db ->
       let e = load_db db in
       (e.Codec.e_cell, Lazy.force e.Codec.e_flat)
-    | Some _, Some _ ->
-      Format.eprintf "drc: give either a target or --from-db, not both@.";
-      exit 1
-    | None, None ->
-      Format.eprintf "drc: need a target or --from-db@.";
-      exit 1
   in
   let cell, stored_flat =
     if compacted then
@@ -1049,7 +999,7 @@ let drc target from_db rules json max_shown self_check compacted domains obs =
       | None -> Flatten.protos_flat (Flatten.prototypes cell)
     in
     let r = Rsg_drc.Drc.check_flat ~deck ?domains flat in
-    if json then print_endline (Rsg_drc.Drc.report_to_json r)
+    if json then print_endline (Json.to_string (Rsg_drc.Drc.report_to_json r))
     else begin
       let total = List.length r.Rsg_drc.Drc.r_violations in
       let shown =
@@ -1074,13 +1024,7 @@ let drc_cmd =
           or a builtin generator (pla, ram, multiplier, decoder).  Exits 1 \
           on violations.")
     Term.(
-      const drc
-      $ Arg.(
-          value
-          & pos 0 (some string) None
-          & info [] ~docv:"FILE|BUILTIN"
-              ~doc:"CIF layout, or builtin: pla, ram, multiplier, decoder.")
-      $ from_db_arg
+      const drc $ Arg.value (target_pos ()) $ from_db_arg
       $ Arg.(
           value
           & opt (some file) None
@@ -1088,7 +1032,7 @@ let drc_cmd =
               ~doc:
                 "Rule deck in the DSL (width/spacing/enclosure/overlap lines); \
                  default is the builtin nmos-lambda deck.")
-      $ Arg.(value & flag & info [ "json" ] ~doc:"Emit the report as JSON.")
+      $ json_flag
       $ Arg.(
           value & opt int 20
           & info [ "max" ] ~docv:"N" ~doc:"Print at most $(docv) violations.")
@@ -1117,7 +1061,7 @@ let place target blocks out stats seed iters chains strategy cache json domains
     Format.eprintf "place: --blocks must be >= 1@.";
     exit 1
   end;
-  let block = drc_target target in
+  let block = target_cell target in
   let rules = Rsg_compact.Rules.default in
   let st0 =
     Rsg_search.Place_opt.make ~rules (List.init blocks (fun _ -> block))
@@ -1140,19 +1084,11 @@ let place target blocks out stats seed iters chains strategy cache json domains
       cycle;
     exit 1
   | hr ->
-    let s = r.Anneal.r_stats in
     if json then
-      Format.printf
-        "{\"target\": \"%s\", \"blocks\": %d, \"strategy\": \"%s\", \
-         \"seed\": %d, \"iters\": %d, \"chains\": %d, \
-         \"initial_area\": %d, \"best_area\": %d, \"best\": \"%s\", \
-         \"computed\": %d, \"cached\": %d}@."
-        (Obs.json_escape target) blocks
-        (match strategy with `Greedy -> "greedy" | `Anneal -> "anneal")
-        seed s.Anneal.st_iters s.Anneal.st_chains r.Anneal.r_initial_cost
-        r.Anneal.r_cost
-        (Digest.to_hex r.Anneal.r_digest)
-        s.Anneal.st_computed s.Anneal.st_cached
+      print_endline
+        (Json.to_string
+           (Rsg_search.Place_opt.summary_json ~target ~seed
+              ~strategy:(strategy_name strategy) r))
     else
       Format.printf "place: %d x %s, area %d -> %d@." blocks target
         r.Anneal.r_initial_cost r.Anneal.r_cost;
@@ -1168,22 +1104,12 @@ let place_cmd =
           compacted area.  The target is a CIF file or a builtin generator \
           (pla, ram, multiplier, decoder).")
     Term.(
-      const place
-      $ Arg.(
-          required
-          & pos 0 (some string) None
-          & info [] ~docv:"FILE|BUILTIN"
-              ~doc:"CIF layout, or builtin: pla, ram, multiplier, decoder.")
+      const place $ Arg.required (target_pos ())
       $ Arg.(
           value & opt int 4
           & info [ "blocks" ] ~docv:"N" ~doc:"Copies of the block to arrange.")
       $ out_arg "place.cif" $ stats_flag $ seed_arg $ iters_arg $ chains_arg
-      $ strategy_arg $ search_cache_arg
-      $ Arg.(
-          value & flag
-          & info [ "json" ]
-              ~doc:"Emit the search summary as JSON on stdout.")
-      $ domains_term $ obs_term)
+      $ strategy_arg $ search_cache_arg $ json_flag $ domains_term $ obs_term)
 
 (* ---- erc ----------------------------------------------------------- *)
 
@@ -1207,17 +1133,11 @@ let erc target from_db cache json self_check vdd gnd max_fanout strict domains
   in
   let cfg_digest = Erc.config_digest cfg Rsg_compact.Rules.default in
   let cell, design_id, name =
-    match (target, from_db) with
-    | Some t, None ->
+    match input_of "erc" ~what:"a target" target from_db with
+    | Either.Left t ->
       let id = if Sys.file_exists t then read_file t else "builtin:" ^ t in
-      (drc_target t, id, t)
-    | None, Some db -> ((load_db db).Codec.e_cell, read_file db, db)
-    | Some _, Some _ ->
-      Format.eprintf "erc: give either a target or --from-db, not both@.";
-      exit 1
-    | None, None ->
-      Format.eprintf "erc: need a target or --from-db@.";
-      exit 1
+      (target_cell t, id, t)
+    | Either.Right db -> ((load_db db).Codec.e_cell, read_file db, db)
   in
   if self_check then
     match Erc.self_check_cell ~cfg ?domains cell with
@@ -1257,7 +1177,7 @@ let erc target from_db cache json self_check vdd gnd max_fanout strict domains
                        r.Erc.r_levels))
                (lazy protos) cell))
     in
-    if json then print_endline (Erc.report_to_json r)
+    if json then print_endline (Json.to_string (Erc.report_to_json r))
     else Format.printf "%a" Erc.pp_report r;
     if not (Erc.clean r) then exit 1
   end
@@ -1273,13 +1193,7 @@ let erc_cmd =
           multiplier, decoder).  Exits 1 on ERC errors (warnings pass; see \
           $(b,--strict)).")
     Term.(
-      const erc
-      $ Arg.(
-          value
-          & pos 0 (some string) None
-          & info [] ~docv:"FILE|BUILTIN"
-              ~doc:"CIF layout, or builtin: pla, ram, multiplier, decoder.")
-      $ from_db_arg
+      const erc $ Arg.value (target_pos ()) $ from_db_arg
       $ Arg.(
           value
           & opt (some string) None
@@ -1288,7 +1202,7 @@ let erc_cmd =
                 "Persist per-prototype verdicts keyed by subtree hash + \
                  config digest; a warm run replays every unchanged \
                  prototype's verdict without re-extracting it.")
-      $ Arg.(value & flag & info [ "json" ] ~doc:"Emit the report as JSON.")
+      $ json_flag
       $ Arg.(
           value & flag
           & info [ "self-check" ]
@@ -1325,15 +1239,15 @@ let erc_cmd =
    parameter file makes the host environment fully known (unresolved
    names become errors); without one they stay warnings, since the
    name may arrive from a parameter file at generate time. *)
-let lint target params_path sample_path assumes hashes json_out obs =
+let lint target params_path sample_path assumes hashes json obs =
   with_obs obs @@ fun () ->
+  let builtin = Jobspec.lint_builtin target in
   let source_text =
-    match target with
-    | "mult" -> Rsg_mult.Design_file.text
-    | "pla" -> Rsg_pla.Pla_design_file.text
-    | path when Sys.file_exists path -> read_file path
-    | other ->
-      Format.eprintf "%s is neither a file nor a builtin (mult, pla)@." other;
+    match builtin with
+    | Some (_, _, text) -> text
+    | None when Sys.file_exists target -> read_file target
+    | None ->
+      Format.eprintf "%s is neither a file nor a builtin (mult, pla)@." target;
       exit 1
   in
   if hashes then begin
@@ -1345,14 +1259,15 @@ let lint target params_path sample_path assumes hashes json_out obs =
       exit 1
     | program ->
       let t = Rsg_lang.Subtree.of_program program in
-      if json_out then begin
-        let line (name, d) =
-          Printf.sprintf "  {\"proc\": \"%s\", \"hash\": \"%s\"}"
-            (Obs.json_escape name) d
-        in
-        Printf.printf "[\n%s\n]\n"
-          (String.concat ",\n" (List.map line (Rsg_lang.Subtree.digests t)))
-      end
+      if json then
+        print_endline
+          (Json.to_string
+             (Json.List
+                (List.map
+                   (fun (name, d) ->
+                     Json.Obj
+                       [ ("proc", Json.String name); ("hash", Json.String d) ])
+                   (Rsg_lang.Subtree.digests t))))
       else
         List.iter
           (fun (name, d) -> Format.printf "%s  %s@." d name)
@@ -1360,16 +1275,9 @@ let lint target params_path sample_path assumes hashes json_out obs =
     exit 0
   end;
   let report =
-    match target with
-    | "mult" ->
-      Rsg_lint.Design_lint.check_string ~file:"mult.def(builtin)"
-        (mult_lint_config ~size:8 ())
-        Rsg_mult.Design_file.text
-    | "pla" ->
-      Rsg_lint.Design_lint.check_string ~file:"pla.def(builtin)"
-        (pla_lint_config ~ninputs:3 ~noutputs:2 ~nterms:4 ())
-        Rsg_pla.Pla_design_file.text
-    | path when Sys.file_exists path ->
+    match builtin with
+    | Some (file, cfg, text) -> Rsg_lint.Design_lint.check_string ~file cfg text
+    | None ->
       let cells =
         Option.map
           (fun p -> Db.names (sample_of_cif p).Sample.db)
@@ -1391,12 +1299,10 @@ let lint target params_path sample_path assumes hashes json_out obs =
             assumes @ cfg.Rsg_lint.Design_lint.globals
         }
       in
-      Rsg_lint.Design_lint.check_string ~file:path cfg (read_file path)
-    | other ->
-      Format.eprintf "%s is neither a file nor a builtin (mult, pla)@." other;
-      exit 1
+      Rsg_lint.Design_lint.check_string ~file:target cfg source_text
   in
-  if json_out then print_endline (Rsg_lint.Diag.report_to_json report)
+  if json then
+    print_endline (Json.to_string (Rsg_lint.Diag.report_to_json report))
   else Format.printf "%a" Rsg_lint.Diag.pp_report report;
   if not (Rsg_lint.Diag.clean report) then exit 1
 
@@ -1411,11 +1317,7 @@ let lint_cmd =
           lint errors; warnings do not fail the run.")
     Term.(
       const lint
-      $ Arg.(
-          required
-          & pos 0 (some string) None
-          & info [] ~docv:"FILE|BUILTIN"
-              ~doc:"Design file, or builtin: mult, pla.")
+      $ Arg.required (target_pos ~doc:"Design file, or builtin: mult, pla." ())
       $ Arg.(
           value
           & opt (some file) None
@@ -1441,8 +1343,7 @@ let lint_cmd =
                 "Instead of linting, print each procedure's transitive \
                  content digest (calls embed the callee's digest); diff \
                  two runs to see which procedures an edit dirties.")
-      $ Arg.(value & flag & info [ "json" ] ~doc:"Emit the report as JSON.")
-      $ obs_term)
+      $ json_flag $ obs_term)
 
 (* ---- batch --------------------------------------------------------- *)
 
@@ -1451,16 +1352,10 @@ let lint_cmd =
    the serve daemon so both agree byte-for-byte on specs and cache
    keys. *)
 
-let outcome_name = function
-  | Batch.Hit -> "hit"
-  | Batch.Generated -> "generated"
-  | Batch.Regenerated _ -> "regenerated"
-  | Batch.Failed _ -> "failed"
-
 let batch manifest cache out_dir domains json obs =
   with_obs obs @@ fun () ->
   let jobs =
-    match Rsg_serve.Jobspec.parse_manifest (read_file manifest) with
+    match Jobspec.parse_manifest (read_file manifest) with
     | Ok jobs -> jobs
     | Error msg ->
       Format.eprintf "%s: %s@." manifest msg;
@@ -1488,31 +1383,13 @@ let batch manifest cache out_dir domains json obs =
   let count p = List.length (List.filter p results) in
   let hits = count (fun r -> r.Batch.r_outcome = Batch.Hit) in
   let failed = count (fun r -> match r.Batch.r_outcome with Batch.Failed _ -> true | _ -> false) in
-  if json then begin
-    (* no timings here: the JSON summary is byte-stable across runs
-       and domain counts *)
-    let job_json r =
-      Printf.sprintf
-        "    {\"name\": \"%s\", \"kind\": \"%s\", \"outcome\": \"%s\", \
-         \"boxes\": %d, \"key\": \"%s\"}"
-        (Obs.json_escape r.Batch.r_job.Batch.j_name)
-        (Obs.json_escape r.Batch.r_job.Batch.j_kind)
-        (outcome_name r.Batch.r_outcome)
-        r.Batch.r_boxes
-        (Store.key_hex r.Batch.r_job.Batch.j_key)
-    in
-    Printf.printf
-      "{\n  \"jobs\": [\n%s\n  ],\n  \"total\": %d,\n  \"hits\": %d,\n  \
-       \"failed\": %d\n}\n"
-      (String.concat ",\n" (List.map job_json results))
-      (List.length results) hits failed
-  end
+  if json then print_endline (Json.to_string (Batch.to_json results))
   else begin
     List.iter
       (fun r ->
         Format.printf "%-16s %-10s %-11s %8.3fs %8d boxes%s@."
           r.Batch.r_job.Batch.j_name r.Batch.r_job.Batch.j_kind
-          (outcome_name r.Batch.r_outcome)
+          (Batch.outcome_name r.Batch.r_outcome)
           r.Batch.r_seconds r.Batch.r_boxes
           (match r.Batch.r_outcome with
           | Batch.Failed msg -> ": " ^ msg
@@ -1546,9 +1423,7 @@ let batch_cmd =
           & opt (some string) None
           & info [ "out-dir" ] ~docv:"DIR"
               ~doc:"Write each job's layout to $(docv)/NAME.cif.")
-      $ domains_term
-      $ Arg.(value & flag & info [ "json" ] ~doc:"Emit the summary as JSON.")
-      $ obs_term)
+      $ domains_term $ json_flag $ obs_term)
 
 (* ---- cache --------------------------------------------------------- *)
 
@@ -1560,27 +1435,32 @@ let cache_dir_arg =
 
 let cache_stats dir json =
   let s = Store.stats (Store.open_ dir) in
-  if json then begin
-    let entry e =
-      Printf.sprintf
-        "    {\"key\": \"%s\", \"label\": \"%s\", \"bytes\": %d, \"protos\": \
-         %d, \"reused\": %d}"
-        (Obs.json_escape e.Store.es_key)
-        (Obs.json_escape e.Store.es_label)
-        e.Store.es_bytes e.Store.es_protos e.Store.es_reused
-    in
-    let section (x : Codec.section) =
-      Printf.sprintf "    {\"name\": \"%s\", \"bytes\": %d, \"entries\": %d}"
-        (Obs.json_escape x.Codec.s_name)
-        x.Codec.s_bytes x.Codec.s_entries
-    in
-    Printf.printf
-      "{\n  \"entries\": %d,\n  \"bytes\": %d,\n  \"list\": [\n%s\n  ],\n  \
-       \"sections\": [\n%s\n  ]\n}\n"
-      s.Store.st_entries s.Store.st_bytes
-      (String.concat ",\n" (List.map entry s.Store.st_list))
-      (String.concat ",\n" (List.map section s.Store.st_sections))
-  end
+  if json then
+    print_endline
+      (Json.to_string
+         (Json.Obj
+            [ ("entries", Json.Int s.Store.st_entries);
+              ("bytes", Json.Int s.Store.st_bytes);
+              ( "list",
+                Json.List
+                  (List.map
+                     (fun e ->
+                       Json.Obj
+                         [ ("key", Json.String e.Store.es_key);
+                           ("label", Json.String e.Store.es_label);
+                           ("bytes", Json.Int e.Store.es_bytes);
+                           ("protos", Json.Int e.Store.es_protos);
+                           ("reused", Json.Int e.Store.es_reused) ])
+                     s.Store.st_list) );
+              ( "sections",
+                Json.List
+                  (List.map
+                     (fun (x : Codec.section) ->
+                       Json.Obj
+                         [ ("name", Json.String x.Codec.s_name);
+                           ("bytes", Json.Int x.Codec.s_bytes);
+                           ("entries", Json.Int x.Codec.s_entries) ])
+                     s.Store.st_sections) ) ]))
   else begin
     List.iter
       (fun e ->
@@ -1601,8 +1481,7 @@ let cache_stats_cmd =
   Cmd.v
     (Cmd.info "stats" ~doc:"List cache entries (sorted by key) and totals")
     Term.(
-      const cache_stats $ cache_dir_arg
-      $ Arg.(value & flag & info [ "json" ] ~doc:"Emit the stats as JSON."))
+      const cache_stats $ cache_dir_arg $ json_flag)
 
 let cache_clear_cmd =
   let run dir =
@@ -1641,7 +1520,6 @@ let cache_cmd =
 
 module Serve = Rsg_serve.Serve
 module Sclient = Rsg_serve.Client
-module Sjson = Rsg_serve.Json
 
 let socket_arg =
   Arg.(
@@ -1677,11 +1555,12 @@ let serve_cmd =
     (Cmd.info "serve"
        ~doc:
          "Run the resident generation service: accept generate/drc/erc/\
-          extract/lint/batch jobs as newline-delimited JSON over a Unix-domain \
-          socket, multiplexed onto a bounded worker pool with per-job \
-          deadlines, coalescing of identical in-flight generations, and a \
-          hot in-memory cache over the layout store.  SIGTERM drains \
-          gracefully: admitted jobs complete, new work is refused.")
+          compact/place/extract/lint/batch jobs as newline-delimited JSON \
+          over a Unix-domain socket, multiplexed onto a bounded worker pool \
+          with per-job deadlines, coalescing of identical in-flight \
+          generations, and a hot in-memory cache over the layout store.  \
+          SIGTERM drains gracefully: admitted jobs complete, new work is \
+          refused.")
     Term.(
       const serve $ socket_arg
       $ Arg.(
@@ -1711,13 +1590,13 @@ let serve_cmd =
    print each response as a JSON line, exit 0 iff every response is ok *)
 let client socket op arg drc cif out deadline attempts =
   let fields ?spec extra =
-    ("id", Sjson.String "c1")
-    :: ("op", Sjson.String op)
-    :: ((match spec with Some s -> [ ("spec", Sjson.String s) ] | None -> [])
+    ("id", Json.String "c1")
+    :: ("op", Json.String op)
+    :: ((match spec with Some s -> [ ("spec", Json.String s) ] | None -> [])
        @ extra
        @
        match deadline with
-       | Some ms -> [ ("deadline_ms", Sjson.Int ms) ]
+       | Some ms -> [ ("deadline_ms", Json.Int ms) ]
        | None -> [])
   in
   let usage msg =
@@ -1726,23 +1605,24 @@ let client socket op arg drc cif out deadline attempts =
   in
   let reqs =
     match (op, arg) with
-    | ("stats" | "health" | "shutdown"), None -> [ `Json (Sjson.Obj (fields [])) ]
+    | ("stats" | "health" | "shutdown"), None ->
+      [ `Json (Json.Obj (fields [])) ]
     | ("stats" | "health" | "shutdown"), Some _ ->
       usage (op ^ " takes no argument")
     | "generate", Some spec ->
       let flags =
-        (if drc then [ ("drc", Sjson.Bool true) ] else [])
-        @ (if cif then [ ("cif", Sjson.Bool true) ] else [])
-        @ match out with Some p -> [ ("out", Sjson.String p) ] | None -> []
+        (if drc then [ ("drc", Json.Bool true) ] else [])
+        @ (if cif then [ ("cif", Json.Bool true) ] else [])
+        @ match out with Some p -> [ ("out", Json.String p) ] | None -> []
       in
-      [ `Json (Sjson.Obj (fields ~spec flags)) ]
-    | ("drc" | "erc" | "extract" | "lint"), Some spec ->
-      [ `Json (Sjson.Obj (fields ~spec [])) ]
+      [ `Json (Json.Obj (fields ~spec flags)) ]
+    | ("drc" | "erc" | "compact" | "place" | "extract" | "lint"), Some spec ->
+      [ `Json (Json.Obj (fields ~spec [])) ]
     | "batch", Some path ->
-      [ `Json (Sjson.Obj (fields ~spec:(read_file path) [])) ]
+      [ `Json (Json.Obj (fields ~spec:(read_file path) [])) ]
     | "sleep", Some ms -> (
       match int_of_string_opt ms with
-      | Some ms -> [ `Json (Sjson.Obj (fields [ ("ms", Sjson.Int ms) ])) ]
+      | Some ms -> [ `Json (Json.Obj (fields [ ("ms", Json.Int ms) ])) ]
       | None -> usage "sleep needs milliseconds")
     | "raw", None ->
       (* pipeline stdin verbatim, one request per line — the harness
@@ -1758,8 +1638,8 @@ let client socket op arg drc cif out deadline attempts =
     | other, _ ->
       usage
         (other
-       ^ ": unknown op (generate, drc, erc, extract, lint, batch, sleep, \
-          stats, health, shutdown, raw)")
+       ^ ": unknown op (generate, drc, erc, compact, place, extract, lint, \
+          batch, sleep, stats, health, shutdown, raw)")
   in
   if reqs = [] then usage "no requests";
   match Sclient.connect ~attempts socket with
@@ -1797,7 +1677,7 @@ let client socket op arg drc cif out deadline attempts =
       Format.eprintf "%s@." msg;
       exit 1
     | Ok resps ->
-      List.iter (fun r -> print_endline (Sjson.to_string r)) resps;
+      List.iter (fun r -> print_endline (Json.to_string r)) resps;
       if List.for_all Sclient.response_ok resps then () else exit 1)
 
 let client_cmd =
@@ -1805,9 +1685,10 @@ let client_cmd =
     (Cmd.info "client"
        ~doc:
          "Talk to a running $(b,rsg serve) daemon.  OP is generate, drc, \
-          erc, extract, lint, batch, sleep, stats, health, shutdown, or raw \
-          (pipeline JSON request lines from stdin).  Responses are printed \
-          one JSON line each; exits 0 iff every response is ok.")
+          erc, compact, place, extract, lint, batch, sleep, stats, health, \
+          shutdown, or raw (pipeline JSON request lines from stdin).  \
+          Responses are printed one JSON line each; exits 0 iff every \
+          response is ok.")
     Term.(
       const client $ socket_arg
       $ Arg.(
@@ -1820,8 +1701,9 @@ let client_cmd =
           & info [] ~docv:"ARG"
               ~doc:
                 "Op argument: a manifest line (generate), a builtin or CIF \
-                 path (drc, erc, extract), a builtin or design file (lint), \
-                 a manifest file (batch), milliseconds (sleep).")
+                 path (drc, erc, compact, place, extract), a builtin or \
+                 design file (lint), a manifest file (batch), milliseconds \
+                 (sleep).")
       $ Arg.(
           value & flag
           & info [ "drc" ] ~doc:"generate: also design-rule check the result.")

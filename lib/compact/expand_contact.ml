@@ -29,18 +29,6 @@ let expand_box rules b =
   (Layer.Metal, b) :: (Layer.Poly, b)
   :: List.map (fun cut -> (Layer.Contact_cut, cut)) (cuts_for rules b)
 
-let expand_items rules items =
-  Array.of_list
-    (List.concat_map
-       (fun (it : Scanline.item) ->
-         match it.Scanline.layer with
-         | Layer.Contact ->
-           List.map
-             (fun (layer, box) -> { Scanline.layer; box })
-             (expand_box rules it.Scanline.box)
-         | _ -> [ it ])
-       (Array.to_list items))
-
 let expand_cell rules cell =
   let f = Rsg_layout.Flatten.flatten cell in
   let out = Rsg_layout.Cell.create (cell.Rsg_layout.Cell.cname ^ "-masks") in

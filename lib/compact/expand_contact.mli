@@ -19,9 +19,5 @@ val expand_box : Rules.t -> Box.t -> (Layer.t * Box.t) list
 (** Full expansion of one contact: the metal and poly plates (the
     contact's own extent) plus the cut field. *)
 
-val expand_items : Rules.t -> Scanline.item array -> Scanline.item array
-(** Replace every [Contact] box by its expansion; other layers pass
-    through. *)
-
 val expand_cell : Rules.t -> Rsg_layout.Cell.t -> Rsg_layout.Cell.t
 (** Expansion over a flattened cell, for mask output. *)

@@ -779,30 +779,30 @@ let pp_report ppf r =
   List.iter (fun v -> Format.fprintf ppf "  %a@." pp_violation v) r.r_violations
 
 let report_to_json r =
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf
-    (Printf.sprintf
-       "{\"deck\":\"%s\",\"boxes\":%d,\"regions\":%d,\"rules\":%d,\"violations\":["
-       (Obs.json_escape r.r_deck) r.r_boxes r.r_regions r.r_rules);
-  List.iteri
-    (fun i v ->
-      if i > 0 then Buffer.add_char buf ',';
-      Buffer.add_string buf
-        (Printf.sprintf
-           "{\"rule\":\"%s\",\"layers\":[%s],\"required\":%d,\"actual\":%d,\"boxes\":[%s]}"
-           (Obs.json_escape v.v_rule)
-           (String.concat ","
-              (List.map (fun l -> "\"" ^ Layer.name l ^ "\"") v.v_layers))
-           v.v_required v.v_actual
-           (String.concat ","
-              (List.map
-                 (fun (b : Box.t) ->
-                   Printf.sprintf "[%d,%d,%d,%d]" b.Box.xmin b.Box.ymin
-                     b.Box.xmax b.Box.ymax)
-                 v.v_boxes))))
-    r.r_violations;
-  Buffer.add_string buf "]}";
-  Buffer.contents buf
+  let module Json = Rsg_obs.Json in
+  let violation v =
+    Json.Obj
+      [ ("rule", Json.String v.v_rule);
+        ( "layers",
+          Json.List (List.map (fun l -> Json.String (Layer.name l)) v.v_layers)
+        );
+        ("required", Json.Int v.v_required);
+        ("actual", Json.Int v.v_actual);
+        ( "boxes",
+          Json.List
+            (List.map
+               (fun (b : Box.t) ->
+                 Json.List
+                   (List.map (fun i -> Json.Int i)
+                      [ b.Box.xmin; b.Box.ymin; b.Box.xmax; b.Box.ymax ]))
+               v.v_boxes) ) ]
+  in
+  Json.Obj
+    [ ("deck", Json.String r.r_deck);
+      ("boxes", Json.Int r.r_boxes);
+      ("regions", Json.Int r.r_regions);
+      ("rules", Json.Int r.r_rules);
+      ("violations", Json.List (List.map violation r.r_violations)) ]
 
 let pp_hier_report ppf r =
   let dirty = List.filter (fun l -> l.l_violations <> []) r.h_levels in
@@ -823,40 +823,6 @@ let pp_hier_report ppf r =
           Format.fprintf ppf "    %a (x%d)@." pp_violation v c)
         l.l_violations)
     dirty
-
-let hier_report_to_json r =
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf
-    (Printf.sprintf
-       "{\"deck\":\"%s\",\"halo\":%d,\"violations\":%d,\"boxes\":%d,\"cached\":%d,\"levels\":["
-       (Obs.json_escape r.h_deck) r.h_halo (hier_violations r) r.h_boxes
-       r.h_cached);
-  List.iteri
-    (fun i l ->
-      if i > 0 then Buffer.add_char buf ',';
-      Buffer.add_string buf
-        (Printf.sprintf
-           "{\"cell\":\"%s\",\"hash\":\"%s\",\"placements\":%d,\"contexts\":%d,\"distinct\":%d,\"boxes\":%d,\"cached\":%b,\"violations\":["
-           (Obs.json_escape l.l_cell) l.l_hash l.l_placements l.l_contexts
-           l.l_distinct l.l_boxes l.l_cached);
-      List.iteri
-        (fun k (v, c) ->
-          if k > 0 then Buffer.add_char buf ',';
-          Buffer.add_string buf
-            (Printf.sprintf
-               "{\"rule\":\"%s\",\"required\":%d,\"actual\":%d,\"count\":%d,\"boxes\":[%s]}"
-               (Obs.json_escape v.v_rule) v.v_required v.v_actual c
-               (String.concat ","
-                  (List.map
-                     (fun (b : Box.t) ->
-                       Printf.sprintf "[%d,%d,%d,%d]" b.Box.xmin b.Box.ymin
-                         b.Box.xmax b.Box.ymax)
-                     v.v_boxes))))
-        l.l_violations;
-      Buffer.add_string buf "]}")
-    r.h_levels;
-  Buffer.add_string buf "]}";
-  Buffer.contents buf
 
 (* ---- mutation self-check ------------------------------------------- *)
 

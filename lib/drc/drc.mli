@@ -155,13 +155,11 @@ val hier_violations : hier_report -> int
 
 val pp_hier_report : Format.formatter -> hier_report -> unit
 
-val hier_report_to_json : hier_report -> string
-
 val pp_violation : Format.formatter -> violation -> unit
 
 val pp_report : Format.formatter -> report -> unit
 
-val report_to_json : report -> string
+val report_to_json : report -> Rsg_obs.Json.t
 (** Machine-readable form:
     [{"deck":..,"boxes":..,"regions":..,"rules":..,"violations":
     [{"rule":..,"layers":[..],"required":..,"actual":..,

@@ -396,24 +396,25 @@ let pp_report ppf r =
   Format.fprintf ppf "@."
 
 let report_to_json r =
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf
-    (Printf.sprintf
-       "{\"digest\":\"%s\",\"nets\":%d,\"devices\":%d,\"rails\":%d,\"cached\":%d,\"levels\":["
-       r.r_digest r.r_nets r.r_devices r.r_rails r.r_cached);
-  List.iteri
-    (fun i l ->
-      if i > 0 then Buffer.add_char buf ',';
-      Buffer.add_string buf
-        (Printf.sprintf
-           "{\"cell\":\"%s\",\"hash\":\"%s\",\"placements\":%d,\"nets\":%d,\"devices\":%d,\"open\":%d,\"cached\":%b}"
-           l.l_cell l.l_hash l.l_placements l.l_verdict.cv_nets
-           l.l_verdict.cv_devices l.l_verdict.cv_open l.l_cached))
-    r.r_levels;
-  Buffer.add_string buf "],\"diagnostics\":";
-  Buffer.add_string buf (Diag.report_to_json (to_diags r));
-  Buffer.add_char buf '}';
-  Buffer.contents buf
+  let module Json = Rsg_obs.Json in
+  let level l =
+    Json.Obj
+      [ ("cell", Json.String l.l_cell);
+        ("hash", Json.String l.l_hash);
+        ("placements", Json.Int l.l_placements);
+        ("nets", Json.Int l.l_verdict.cv_nets);
+        ("devices", Json.Int l.l_verdict.cv_devices);
+        ("open", Json.Int l.l_verdict.cv_open);
+        ("cached", Json.Bool l.l_cached) ]
+  in
+  Json.Obj
+    [ ("digest", Json.String r.r_digest);
+      ("nets", Json.Int r.r_nets);
+      ("devices", Json.Int r.r_devices);
+      ("rails", Json.Int r.r_rails);
+      ("cached", Json.Int r.r_cached);
+      ("levels", Json.List (List.map level r.r_levels));
+      ("diagnostics", Diag.report_to_json (to_diags r)) ]
 
 (* ------------------------------------------------------------------ *)
 (* Mutation self-check                                                *)

@@ -138,7 +138,7 @@ val clean : report -> bool
 
 val pp_report : Format.formatter -> report -> unit
 
-val report_to_json : report -> string
+val report_to_json : report -> Rsg_obs.Json.t
 (** Deterministic JSON:
     [{"digest":...,"nets":n,"devices":n,"rails":n,"cached":n,
       "levels":[{"cell":...,"hash":...,"placements":n,"nets":n,

@@ -212,30 +212,28 @@ let pp_report ppf r =
   Format.fprintf ppf "@."
 
 let report_to_json r =
-  let json_escape = Rsg_obs.Obs.json_escape in
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf
-    (Printf.sprintf
-       "{\"source\":\"%s\",\"checked\":%d,\"errors\":%d,\"warnings\":%d,\"infos\":%d,\"diagnostics\":["
-       (json_escape r.r_source) r.r_checked (count Error r.r_diags)
-       (count Warning r.r_diags) (count Info r.r_diags));
-  List.iteri
-    (fun i d ->
-      if i > 0 then Buffer.add_char buf ',';
-      Buffer.add_string buf
-        (Printf.sprintf
-           "{\"code\":\"%s\",\"severity\":\"%s\",\"file\":%s,\"line\":%s,\"span\":%s,\"message\":\"%s\",\"section\":\"%s\"}"
-           d.code (severity_name d.severity)
-           (match d.file with
-           | Some f -> Printf.sprintf "\"%s\"" (json_escape f)
-           | None -> "null")
-           (match d.line with Some l -> string_of_int l | None -> "null")
-           (match d.span with
-           | Some s ->
-             Printf.sprintf "[%d,%d,%d,%d]" s.s_line s.s_col s.s_end_line
-               s.s_end_col
-           | None -> "null")
-           (json_escape d.message) (json_escape d.section)))
-    r.r_diags;
-  Buffer.add_string buf "]}";
-  Buffer.contents buf
+  let module Json = Rsg_obs.Json in
+  let opt f = function Some x -> f x | None -> Json.Null in
+  let diag d =
+    Json.Obj
+      [ ("code", Json.String d.code);
+        ("severity", Json.String (severity_name d.severity));
+        ("file", opt (fun f -> Json.String f) d.file);
+        ("line", opt (fun l -> Json.Int l) d.line);
+        ( "span",
+          opt
+            (fun s ->
+              Json.List
+                (List.map (fun i -> Json.Int i)
+                   [ s.s_line; s.s_col; s.s_end_line; s.s_end_col ]))
+            d.span );
+        ("message", Json.String d.message);
+        ("section", Json.String d.section) ]
+  in
+  Json.Obj
+    [ ("source", Json.String r.r_source);
+      ("checked", Json.Int r.r_checked);
+      ("errors", Json.Int (count Error r.r_diags));
+      ("warnings", Json.Int (count Warning r.r_diags));
+      ("infos", Json.Int (count Info r.r_diags));
+      ("diagnostics", Json.List (List.map diag r.r_diags)) ]

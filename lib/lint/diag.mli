@@ -104,8 +104,9 @@ val pp : Format.formatter -> t -> unit
 
 val pp_report : Format.formatter -> report -> unit
 
-val report_to_json : report -> string
+val report_to_json : report -> Rsg_obs.Json.t
 (** Machine-readable mirror of {!pp_report}:
     [{"source":...,"checked":n,"errors":n,"warnings":n,"infos":n,
       "diagnostics":[{"code":...,"severity":...,"file":...,"line":...,
-      "message":...,"section":...},...]}]. *)
+      "span":[line,col,end_line,end_col],"message":...,"section":...},
+      ...]}], with [null] for an absent file, line or span. *)

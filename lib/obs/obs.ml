@@ -137,44 +137,17 @@ let dump ?(oc = stderr) () =
 
 (* ---- JSON ---------------------------------------------------------- *)
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 2) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 let to_json () =
-  let b = Buffer.create 1024 in
-  let rec emit_span s =
-    Buffer.add_string b
-      (Printf.sprintf "{\"name\":\"%s\",\"seconds\":%.6f,\"count\":%d,\"children\":["
-         (json_escape s.sp_name) s.sp_total s.sp_count);
-    List.iteri
-      (fun i c ->
-        if i > 0 then Buffer.add_char b ',';
-        emit_span c)
-      s.sp_children;
-    Buffer.add_string b "]}"
+  let rec span s =
+    Json.Obj
+      [ ("name", Json.String s.sp_name);
+        (* to the microsecond; finer digits are timer noise *)
+        ("seconds", Json.Float (Float.round (s.sp_total *. 1e6) /. 1e6));
+        ("count", Json.Int s.sp_count);
+        ("children", Json.List (List.map span s.sp_children)) ]
   in
-  Buffer.add_string b "{\"spans\":[";
-  List.iteri
-    (fun i s ->
-      if i > 0 then Buffer.add_char b ',';
-      emit_span s)
-    (spans ());
-  Buffer.add_string b "],\"counters\":{";
-  List.iteri
-    (fun i (name, n) ->
-      if i > 0 then Buffer.add_char b ',';
-      Buffer.add_string b (Printf.sprintf "\"%s\":%d" (json_escape name) n))
-    (counters ());
-  Buffer.add_string b "}}";
-  Buffer.contents b
+  Json.Obj
+    [ ("spans", Json.List (List.map span (spans ())));
+      ( "counters",
+        Json.Obj (List.map (fun (name, n) -> (name, Json.Int n)) (counters ()))
+      ) ]

@@ -32,7 +32,7 @@
       Obs.enable ();
       ... run the generator ...
       Obs.dump ()            (* human-readable tree to stderr *)
-      (* or *) print_string (Obs.to_json ())
+      (* or *) print_string (Json.to_string (Obs.to_json ()))
     ]} *)
 
 val enable : unit -> unit
@@ -95,10 +95,7 @@ val pp : Format.formatter -> unit -> unit
 val dump : ?oc:out_channel -> unit -> unit
 (** Print {!pp} to [oc] (default [stderr]). *)
 
-val to_json : unit -> string
+val to_json : unit -> Json.t
 (** The same data as a JSON object
-    [{"spans": [...], "counters": {...}}]. *)
-
-val json_escape : string -> string
-(** The body of a JSON string literal holding [s]: quote, backslash
-    and every control character escaped, other bytes kept. *)
+    [{"spans": [...], "counters": {...}}]; each span's [seconds] is
+    rounded to the microsecond. *)

@@ -155,3 +155,19 @@ let problem : (state, move) Anneal.problem =
   }
 
 let cell = cell_of
+
+let summary_json ~target ~strategy ~seed (r : state Anneal.result) =
+  let module Json = Rsg_obs.Json in
+  let s = r.Anneal.r_stats in
+  Json.Obj
+    [ ("target", Json.String target);
+      ("blocks", Json.Int (Array.length r.Anneal.r_best.blocks));
+      ("strategy", Json.String strategy);
+      ("seed", Json.Int seed);
+      ("iters", Json.Int s.Anneal.st_iters);
+      ("chains", Json.Int s.Anneal.st_chains);
+      ("initial_area", Json.Int r.Anneal.r_initial_cost);
+      ("best_area", Json.Int r.Anneal.r_cost);
+      ("best", Json.String (Digest.to_hex r.Anneal.r_digest));
+      ("computed", Json.Int s.Anneal.st_computed);
+      ("cached", Json.Int s.Anneal.st_cached) ]

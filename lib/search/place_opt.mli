@@ -27,3 +27,15 @@ val problem : (state, move) Anneal.problem
 val cell : state -> Rsg_layout.Cell.t
 (** The arrangement realised as a fresh chip cell (uncompacted);
     depends only on the state, not on evaluation history. *)
+
+val summary_json :
+  target:string ->
+  strategy:string ->
+  seed:int ->
+  state Anneal.result ->
+  Rsg_obs.Json.t
+(** The search summary of [rsg place --json] and the serve daemon's
+    [place] op: [target], [blocks], [strategy], [seed], the run's
+    [iters] and [chains], [initial_area], [best_area], the [best]
+    state's hex digest, and the [computed] and [cached] evaluation
+    counts. *)

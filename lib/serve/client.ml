@@ -1,3 +1,5 @@
+module Json = Rsg_obs.Json
+
 type t = {
   fd : Unix.file_descr;
   acc : Buffer.t;  (* bytes read past the last returned line *)

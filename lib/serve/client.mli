@@ -17,7 +17,7 @@ val connect : ?attempts:int -> string -> (t, string) result
 
 val close : t -> unit
 
-val send : t -> Json.t -> (unit, string) result
+val send : t -> Rsg_obs.Json.t -> (unit, string) result
 (** Write one request line. *)
 
 val send_line : t -> string -> (unit, string) result
@@ -25,16 +25,16 @@ val send_line : t -> string -> (unit, string) result
     use: lets scripts exercise the daemon's handling of malformed
     frames through the normal client. *)
 
-val recv : t -> (Json.t, string) result
+val recv : t -> (Rsg_obs.Json.t, string) result
 (** Read one response line (blocking).  [Error] on EOF or a response
     the daemon somehow framed unparseably. *)
 
-val request : t -> Json.t -> (Json.t, string) result
+val request : t -> Rsg_obs.Json.t -> (Rsg_obs.Json.t, string) result
 (** [send] then [recv]: the simple synchronous call. *)
 
-val pipeline : t -> Json.t list -> (Json.t list, string) result
+val pipeline : t -> Rsg_obs.Json.t list -> (Rsg_obs.Json.t list, string) result
 (** Write all requests, then read exactly as many responses, in
     arrival order. *)
 
-val response_ok : Json.t -> bool
+val response_ok : Rsg_obs.Json.t -> bool
 (** Whether a response has ["ok"] [true]. *)

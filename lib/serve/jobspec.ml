@@ -182,7 +182,7 @@ let parse_manifest text =
     | Some j -> Error ("duplicate job name: " ^ j.Batch.j_name)
     | None -> Ok jobs)
 
-(* ---- drc/extract targets ------------------------------------------- *)
+(* ---- targets -------------------------------------------------------- *)
 
 let top_cell_of_cif path =
   let r = Cif.read_file path in
@@ -204,7 +204,7 @@ let top_cell_of_cif path =
         (Db.cells r.Cif.db)
     with
     | [ c ] -> c
-    | _ -> raise (Spec_error "cannot determine the top cell"))
+    | _ -> failwith "cannot determine the top cell")
 
 let target_cell spec =
   match
@@ -230,3 +230,42 @@ let target_cell spec =
   | exception Spec_error msg -> Error msg
   | exception Sys_error msg -> Error msg
   | exception Failure msg -> Error msg
+
+(* ---- builtin lint designs ------------------------------------------ *)
+
+module Design_lint = Rsg_lint.Design_lint
+
+let mult_lint_config ~size =
+  let sample, _ = Rsg_mult.Sample_lib.build () in
+  let params =
+    Rsg_lang.Param.parse
+      (Rsg_mult.Sample_lib.param_file ~xsize:size ~ysize:size)
+  in
+  Design_lint.config_of_params
+    ~cells:(Db.names sample.Rsg_core.Sample.db)
+    params
+
+let pla_lint_config ~ninputs ~noutputs ~nterms =
+  let sample, _ = Rsg_pla.Pla_cells.build () in
+  let params =
+    Rsg_lang.Param.parse
+      (Rsg_pla.Pla_design_file.param_file ~ninputs ~noutputs ~nterms
+         ~name:"pla")
+  in
+  let cfg =
+    Design_lint.config_of_params ~cells:(Db.names sample.Rsg_core.Sample.db)
+      params
+  in
+  (* the encoding tables are host-installed globals (delayed binding) *)
+  { cfg with Design_lint.globals = "lits" :: "outs" :: cfg.Design_lint.globals }
+
+let lint_builtin = function
+  | "mult" ->
+    let cfg = mult_lint_config ~size:8 in
+    Some ("mult.def(builtin)", cfg, Rsg_mult.Design_file.text)
+  | "pla" ->
+    Some
+      ( "pla.def(builtin)",
+        pla_lint_config ~ninputs:3 ~noutputs:2 ~nterms:4,
+        Rsg_pla.Pla_design_file.text )
+  | _ -> None

@@ -1,5 +1,7 @@
-(** Manifest-line job specifications, shared by [rsg batch] and the
-    serve daemon.
+(** The definitions the CLI and the serve daemon share: manifest-line
+    job specifications (for [rsg batch], the daemon's [generate] and
+    [batch] ops), the builtin-or-CIF targets of [drc], [erc],
+    [extract], [compact] and [place], and the builtin lint designs.
 
     A job spec is one line of the batch-manifest grammar:
     {v NAME KIND key=value ... v}
@@ -12,11 +14,10 @@
     so the CLI and the daemon agree byte-for-byte on what a spec means
     and on the cache key it hits.
 
-    Everything here is [result]-valued: a daemon must turn a bad spec
-    into a structured error response, never an [exit] (the CLI's
-    original parser exited, which a resident service cannot).  The
-    generator thunks themselves may still raise (generation bugs are
-    {!Protocol.Job_failed}, not bad requests); only {e parsing} is
+    Parsing and target resolution are [result]-valued: a daemon must
+    turn a bad spec into a structured error response, never an [exit].
+    The generator thunks themselves may still raise (generation bugs
+    are {!Protocol.Job_failed}, not bad requests); only {e parsing} is
     total. *)
 
 val parse_line : int -> string -> (Rsg_store.Batch.job option, string) result
@@ -29,7 +30,31 @@ val parse_manifest : string -> (Rsg_store.Batch.job list, string) result
 (** Parse a whole manifest (any number of lines).  Rejects an empty
     job list and duplicate job names, as [rsg batch] does. *)
 
+val top_cell_of_cif : string -> Rsg_layout.Cell.t
+(** The top cell of a CIF file: the single cell its top-level call
+    places (or the call's own cell when it places several), else the
+    one symbol no other symbol instantiates.  Raises [Failure] when
+    neither exists, and whatever {!Rsg_layout.Cif.read_file} raises. *)
+
 val target_cell : string -> (Rsg_layout.Cell.t, string) result
-(** Resolve a drc/extract target: a builtin generator name ([pla],
-    [ram], [multiplier], [decoder] — the same fixed examples the CLI
-    offers) or a path to a CIF file whose top cell is wanted. *)
+(** Resolve a target: a builtin generator name ([pla] (a fixed 3-input
+    table), [ram] (8x4), [multiplier] (8x8), [decoder] (3 bits)) or a
+    path to a CIF file whose top cell ({!top_cell_of_cif}) is wanted.
+    Anything else is [Error "T is neither a file nor a builtin (pla,
+    ram, multiplier, decoder)"]. *)
+
+val mult_lint_config : size:int -> Rsg_lint.Design_lint.config
+(** Lint environment of the builtin multiplier design at [size] x
+    [size]: its sample library's cells and its parameter file. *)
+
+val pla_lint_config :
+  ninputs:int -> noutputs:int -> nterms:int -> Rsg_lint.Design_lint.config
+(** Lint environment of the builtin PLA design, with its host-installed
+    [lits] and [outs] tables as globals. *)
+
+val lint_builtin :
+  string -> (string * Rsg_lint.Design_lint.config * string) option
+(** [lint_builtin "mult"] and [lint_builtin "pla"] are the builtin
+    designs' file label, lint environment (an 8x8 multiplier; a PLA
+    of 3 inputs, 2 outputs and 4 terms) and design text; [None] for
+    any other name. *)

@@ -1,51 +1,6 @@
-(** A small dependency-free JSON reader/writer for the serve
-    protocol.
+(** {!Rsg_obs.Json}, re-exported for code that names it here; the
+    types are equal. *)
 
-    The wire format of {!Protocol} is newline-delimited JSON, so this
-    module only needs the RFC 8259 value model: objects, arrays,
-    strings with escapes, integers and floats, booleans, null.
-    Parsing is a single recursive-descent pass over the byte string
-    and never raises — a malformed request must become a structured
-    [bad_request] response, not an exception unwinding a connection
-    thread.  Serialisation escapes control characters, so CIF text
-    and error messages embed safely. *)
-
-type t =
-  | Null
-  | Bool of bool
-  | Int of int
-  | Float of float
-  | String of string
-  | List of t list
-  | Obj of (string * t) list  (** insertion order preserved *)
-
-val parse : string -> (t, string) result
-(** Parse one complete JSON value (surrounding whitespace allowed).
-    Trailing non-whitespace bytes, bad escapes, unterminated
-    structures and deep nesting (> 128 levels) are errors, described
-    well enough to echo back to a client. *)
-
-val to_string : t -> string
-(** Compact single-line serialisation (never contains a newline, as
-    the framing requires).  Non-finite floats serialise as [null]. *)
-
-(** Accessors return [None] on shape mismatch rather than raising. *)
-
-val member : string -> t -> t option
-(** Field of an [Obj] ([None] on missing field or non-object). *)
-
-val to_string_opt : t -> string option
-
-val to_int_opt : t -> int option
-(** Accepts [Int], and any [Float] that is exactly integral. *)
-
-val to_bool_opt : t -> bool option
-
-val to_list_opt : t -> t list option
-
-val mem_string : string -> t -> string option
-(** [mem_string k v] is [member k v >>= to_string_opt]. *)
-
-val mem_int : string -> t -> int option
-
-val mem_bool : string -> t -> bool option
+include module type of struct
+  include Rsg_obs.Json
+end

@@ -1,3 +1,5 @@
+module Json = Rsg_obs.Json
+
 type result = {
   l_sent : int;
   l_ok : int;

@@ -27,7 +27,7 @@ val run :
   socket:string ->
   concurrency:int ->
   repeat:int ->
-  Json.t list ->
+  Rsg_obs.Json.t list ->
   (result, string) Stdlib.result
 (** Replay; [Error] only on connect failure.  Requests are rewritten
     with fresh unique [id]s, so callers may pass the same template

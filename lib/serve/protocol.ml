@@ -1,3 +1,5 @@
+module Json = Rsg_obs.Json
+
 type error =
   | Bad_request of string
   | Too_large of { limit : int }
@@ -40,12 +42,6 @@ type op =
 
 type request = { rq_id : Json.t; rq_op : op; rq_deadline_ms : int option }
 
-let queueable = function
-  | Generate _ | Drc _ | Erc _ | Compact _ | Place _ | Extract _ | Lint _
-  | Batch _ | Sleep _ ->
-    true
-  | Stats | Health | Shutdown -> false
-
 let spec_of v =
   match Json.mem_string "spec" v with
   | Some s when String.trim s <> "" -> Ok s
@@ -78,8 +74,13 @@ let op_of v =
         and seed = field "seed" 1
         and iters = field "iters" 32
         and chains = field "chains" 2 in
-        if blocks < 1 || iters < 0 || chains < 1 then
-          Error "place needs blocks >= 1, iters >= 0, chains >= 1"
+        (* a started job is never preempted, so these bound what one
+           request can cost: blocks x blocks slots, iters x chains
+           evaluations *)
+        if blocks < 1 || blocks > 16 || iters < 0 || iters > 256 || chains < 1
+           || chains > 4
+        then
+          Error "place needs blocks in 1..16, iters in 0..256, chains in 1..4"
         else Ok (Place { spec; blocks; seed; iters; chains }))
   | Some "extract" -> Result.map (fun spec -> Extract { spec }) (spec_of v)
   | Some "lint" -> Result.map (fun spec -> Lint { spec }) (spec_of v)

@@ -66,7 +66,10 @@ type op =
   | Place of { spec : string; blocks : int; seed : int; iters : int;
                chains : int }
       (** annealed macro arrangement of [blocks] copies of the
-          target; [iters]/[chains]/[seed] default to 32/2/1 *)
+          target; [blocks]/[iters]/[chains]/[seed] default to
+          3/32/2/1.  A started job is never preempted, so the request
+          is a [bad_request] unless [blocks] is in 1..16, [iters] in
+          0..256 and [chains] in 1..4. *)
   | Extract of { spec : string }
   | Lint of { spec : string }
   | Batch of { spec : string }
@@ -76,21 +79,16 @@ type op =
   | Shutdown
 
 type request = {
-  rq_id : Json.t;  (** echoed verbatim; [Null] when absent *)
+  rq_id : Rsg_obs.Json.t;  (** echoed verbatim; [Null] when absent *)
   rq_op : op;
   rq_deadline_ms : int option;
 }
 
-val parse_request : string -> (request, Json.t * error) result
+val parse_request : string -> (request, Rsg_obs.Json.t * error) result
 (** Parse one request line.  On error, returns the best-effort id
     (so the error response still correlates) with the error. *)
 
-val ok_response : id:Json.t -> Json.t -> string
+val ok_response : id:Rsg_obs.Json.t -> Rsg_obs.Json.t -> string
 (** Serialise a success response line (no trailing newline). *)
 
-val error_response : id:Json.t -> error -> string
-
-val queueable : op -> bool
-(** True for ops that go through admission (generate/drc/erc/compact/
-    place/extract/lint/batch/sleep); false for the inline control
-    ops. *)
+val error_response : id:Rsg_obs.Json.t -> error -> string

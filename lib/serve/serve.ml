@@ -1,4 +1,5 @@
 open Rsg_layout
+module Json = Rsg_obs.Json
 module Obs = Rsg_obs.Obs
 module Par = Rsg_par.Par
 module Store = Rsg_store.Store
@@ -426,18 +427,7 @@ let place_work srv spec ~blocks ~seed ~iters ~chains () =
         (Place_opt.make (List.init blocks (fun _ -> cell)))
     with
     | r ->
-      Ok
-        (Json.Obj
-           [
-             ("blocks", Json.Int blocks);
-             ("initial_area", Json.Int r.Anneal.r_initial_cost);
-             ("best_area", Json.Int r.Anneal.r_cost);
-             ("best", Json.String (Digest.to_hex r.Anneal.r_digest));
-             ("chains", Json.Int r.Anneal.r_stats.Anneal.st_chains);
-             ("iters", Json.Int r.Anneal.r_stats.Anneal.st_iters);
-             ("computed", Json.Int r.Anneal.r_stats.Anneal.st_computed);
-             ("cached", Json.Int r.Anneal.r_stats.Anneal.st_cached);
-           ])
+      Ok (Place_opt.summary_json ~target:spec ~strategy:"anneal" ~seed r)
     | exception Invalid_argument msg -> Error (Protocol.Bad_request msg))
 
 let extract_work srv spec () =
@@ -457,57 +447,23 @@ let extract_work srv spec () =
            ("devices", Json.Int (Rsg_extract.Extract.n_devices n));
          ])
 
-(* builtin lint configs, mirroring the CLI's *)
-let mult_lint_config () =
-  let sample, _ = Rsg_mult.Sample_lib.build () in
-  let params =
-    Rsg_lang.Param.parse (Rsg_mult.Sample_lib.param_file ~xsize:8 ~ysize:8)
-  in
-  Rsg_lint.Design_lint.config_of_params
-    ~cells:(Db.names sample.Rsg_core.Sample.db)
-    params
-
-let pla_lint_config () =
-  let sample, _ = Rsg_pla.Pla_cells.build () in
-  let params =
-    Rsg_lang.Param.parse
-      (Rsg_pla.Pla_design_file.param_file ~ninputs:3 ~noutputs:2 ~nterms:4
-         ~name:"pla")
-  in
-  let cfg =
-    Rsg_lint.Design_lint.config_of_params
-      ~cells:(Db.names sample.Rsg_core.Sample.db)
-      params
-  in
-  { cfg with
-    Rsg_lint.Design_lint.globals =
-      "lits" :: "outs" :: cfg.Rsg_lint.Design_lint.globals
-  }
-
 let lint_work spec () =
-  let report =
-    match spec with
-    | "mult" ->
+  let module Design_lint = Rsg_lint.Design_lint in
+  match
+    match Jobspec.lint_builtin spec with
+    | None when Sys.file_exists spec ->
       Some
-        (Rsg_lint.Design_lint.check_string ~file:"mult.def(builtin)"
-           (mult_lint_config ()) Rsg_mult.Design_file.text)
-    | "pla" ->
-      Some
-        (Rsg_lint.Design_lint.check_string ~file:"pla.def(builtin)"
-           (pla_lint_config ()) Rsg_pla.Pla_design_file.text)
-    | path when Sys.file_exists path ->
-      let text = In_channel.with_open_bin path In_channel.input_all in
-      Some
-        (Rsg_lint.Design_lint.check_string ~file:path
-           Rsg_lint.Design_lint.default_config text)
-    | _ -> None
-  in
-  match report with
+        ( spec,
+          Design_lint.default_config,
+          In_channel.with_open_bin spec In_channel.input_all )
+    | builtin -> builtin
+  with
   | None ->
     Error
       (Protocol.Bad_request
          (spec ^ " is neither a file nor a builtin (mult, pla)"))
-  | Some r ->
+  | Some (file, cfg, text) ->
+    let r = Design_lint.check_string ~file cfg text in
     Ok
       (Json.Obj
          [
@@ -521,30 +477,9 @@ let batch_work srv spec () =
   match Jobspec.parse_manifest spec with
   | Error msg -> Error (Protocol.Bad_request msg)
   | Ok jobs ->
-    let results =
-      Batch.run ~domains:srv.cfg.job_domains ?store:srv.store jobs
-    in
-    let outcome_name = function
-      | Batch.Hit -> "hit"
-      | Batch.Generated -> "generated"
-      | Batch.Regenerated _ -> "regenerated"
-      | Batch.Failed _ -> "failed"
-    in
     Ok
-      (Json.Obj
-         [
-           ( "jobs",
-             Json.List
-               (List.map
-                  (fun (r : Batch.result) ->
-                    Json.Obj
-                      [
-                        ("name", Json.String r.Batch.r_job.Batch.j_name);
-                        ("outcome", Json.String (outcome_name r.Batch.r_outcome));
-                        ("boxes", Json.Int r.Batch.r_boxes);
-                      ])
-                  results) );
-         ])
+      (Batch.to_json
+         (Batch.run ~domains:srv.cfg.job_domains ?store:srv.store jobs))
 
 let sleep_work ms () =
   Unix.sleepf (float_of_int ms /. 1000.);

@@ -75,3 +75,28 @@ let run_one store job =
 let run ?domains ?store jobs =
   Array.to_list
     (Par.chunked_map ?domains ~chunk:1 (run_one store) (Array.of_list jobs))
+
+let outcome_name = function
+  | Hit -> "hit"
+  | Generated -> "generated"
+  | Regenerated _ -> "regenerated"
+  | Failed _ -> "failed"
+
+let to_json results =
+  let module Json = Rsg_obs.Json in
+  let count p = Json.Int (List.length (List.filter p results)) in
+  let job r =
+    Json.Obj
+      [ ("name", Json.String r.r_job.j_name);
+        ("kind", Json.String r.r_job.j_kind);
+        ("outcome", Json.String (outcome_name r.r_outcome));
+        ("boxes", Json.Int r.r_boxes);
+        ("key", Json.String (Store.key_hex r.r_job.j_key)) ]
+  in
+  Json.Obj
+    [ ("jobs", Json.List (List.map job results));
+      ("total", Json.Int (List.length results));
+      ("hits", count (fun r -> r.r_outcome = Hit));
+      ( "failed",
+        count (fun r -> match r.r_outcome with Failed _ -> true | _ -> false) )
+    ]

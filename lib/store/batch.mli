@@ -44,3 +44,13 @@ val run : ?domains:int -> ?store:Store.t -> job list -> result list
 (** Execute the manifest.  [domains] defaults to
     [Par.default_domains ()]; without [store] every job runs cold and
     nothing is saved.  Results are in manifest order. *)
+
+val outcome_name : outcome -> string
+(** [hit], [generated], [regenerated] or [failed]. *)
+
+val to_json : result list -> Rsg_obs.Json.t
+(** The batch summary of [rsg batch --json] and the serve daemon's
+    [batch] op:
+    [{"jobs":[{"name":..,"kind":..,"outcome":..,"boxes":n,"key":..},..],
+      "total":n,"hits":n,"failed":n}], jobs in manifest order.  It holds
+    no timings, so it is byte-stable across runs and domain counts. *)

@@ -424,7 +424,7 @@ let test_json_report () =
   let r =
     Drc.check ~deck:wdeck [| item Layer.Metal (box 0 0 2 10) |]
   in
-  let j = Drc.report_to_json r in
+  let j = Rsg_obs.Json.to_string (Drc.report_to_json r) in
   List.iter
     (fun needle ->
       let found =

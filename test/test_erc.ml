@@ -128,9 +128,15 @@ let test_families_clean () =
 let test_domain_determinism () =
   List.iter
     (fun (name, cell) ->
-      let j1 = report_to_json (check_cell ~domains:1 cell) in
-      let j2 = report_to_json (check_cell ~domains:2 cell) in
-      let j4 = report_to_json (check_cell ~domains:4 cell) in
+      let j1 =
+        Rsg_obs.Json.to_string (report_to_json (check_cell ~domains:1 cell))
+      in
+      let j2 =
+        Rsg_obs.Json.to_string (report_to_json (check_cell ~domains:2 cell))
+      in
+      let j4 =
+        Rsg_obs.Json.to_string (report_to_json (check_cell ~domains:4 cell))
+      in
       Alcotest.(check string) (name ^ " d1=d2") j1 j2;
       Alcotest.(check string) (name ^ " d1=d4") j1 j4)
     (Lazy.force families)
@@ -149,8 +155,8 @@ let test_cached_replay () =
         (List.length r2.r_levels) r2.r_cached;
       Alcotest.(check string)
         (name ^ " identical diagnostics")
-        (Rsg_lint.Diag.report_to_json (to_diags r1))
-        (Rsg_lint.Diag.report_to_json (to_diags r2));
+        (Rsg_obs.Json.to_string (Rsg_lint.Diag.report_to_json (to_diags r1)))
+        (Rsg_obs.Json.to_string (Rsg_lint.Diag.report_to_json (to_diags r2)));
       Alcotest.(check int) (name ^ " same nets") r1.r_nets r2.r_nets;
       Alcotest.(check int) (name ^ " same devices") r1.r_devices r2.r_devices)
     (Lazy.force families)
@@ -195,6 +201,49 @@ let test_self_check_families () =
       | Error e -> Alcotest.fail (name ^ ": " ^ e))
     (Lazy.force families)
 
+(* ------------------------------------------------------------------ *)
+(* JSON report                                                        *)
+
+(* Cell names are arbitrary bytes, so the JSON report must escape
+   them: the decoder's levels renamed to strings holding quotes,
+   backslashes, control bytes and UTF-8 must still parse, and every
+   level's "cell" must decode to its name. *)
+let test_json_cell_names =
+  let module Json = Rsg_obs.Json in
+  let report =
+    lazy (check_cell (List.assoc "decoder" (Lazy.force families)))
+  in
+  let fragment =
+    QCheck.Gen.oneofl
+      [ "\""; "\\"; "\n"; "\r"; "\t"; "\b"; "\x00"; "\x1f"; "\x7f"; "é"; "中";
+        "😀"; "in"; "buf" ]
+  in
+  let name =
+    QCheck.Gen.(map (String.concat "") (list_size (1 -- 6) fragment))
+  in
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~count:100 ~name:"json escapes cell names"
+       (QCheck.make
+          ~print:QCheck.Print.(array string)
+          QCheck.Gen.(array_size (return 8) name))
+       (fun names ->
+         let r = Lazy.force report in
+         let r =
+           { r with
+             r_levels =
+               List.mapi
+                 (fun i l -> { l with l_cell = names.(i mod 8) })
+                 r.r_levels
+           }
+         in
+         match Json.parse (Json.to_string (report_to_json r)) with
+         | Error msg -> QCheck.Test.fail_reportf "unparsable report: %s" msg
+         | Ok v ->
+           Option.bind (Json.member "levels" v) Json.to_list_opt
+           |> Option.value ~default:[]
+           |> List.map (Json.mem_string "cell")
+           = List.map (fun l -> Some l.l_cell) r.r_levels))
+
 let () =
   Alcotest.run "erc"
     [ ( "rules",
@@ -218,4 +267,5 @@ let () =
             test_verdict_census_matches_extraction ] );
       ( "self-check",
         [ Alcotest.test_case "fixture" `Quick test_self_check_fixture;
-          Alcotest.test_case "families" `Quick test_self_check_families ] ) ]
+          Alcotest.test_case "families" `Quick test_self_check_families ] );
+      ("report", [ test_json_cell_names ]) ]

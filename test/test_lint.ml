@@ -149,17 +149,17 @@ let test_pla_design_clean () =
 
 let test_json () =
   let r = lint_grid (grid_design ^ "\n(print zz77)") in
-  let json = Diag.report_to_json r in
+  let json = Rsg_obs.Json.to_string (Diag.report_to_json r) in
   Alcotest.(check bool) "json mentions code" true
     (Str.string_match (Str.regexp ".*\"code\":\"L101\".*") json 0);
   Alcotest.(check bool) "json counts one error" true
     (Str.string_match (Str.regexp ".*\"errors\":1.*") json 0)
 
 (* Every control character is escaped: JSON strings may hold none raw. *)
-let test_json_escapes_controls () =
+let test_json_control_characters () =
   let d = Diag.make ~file:"bad\tname\r.def" ~line:1 "L101" "tab\t cr\r" in
   let r = Diag.report ~source:"a\tb\rc" ~checked:1 [ d ] in
-  let json = Diag.report_to_json r in
+  let json = Rsg_obs.Json.to_string (Diag.report_to_json r) in
   Alcotest.(check (list int)) "no raw control byte" []
     (List.filter_map
        (fun c -> if Char.code c < 0x20 then Some (Char.code c) else None)
@@ -430,7 +430,7 @@ let () =
          Alcotest.test_case "locations" `Quick test_diag_locations;
          Alcotest.test_case "json" `Quick test_json;
          Alcotest.test_case "json escapes control characters" `Quick
-           test_json_escapes_controls ]);
+           test_json_control_characters ]);
       ("design-mutations",
        [ Alcotest.test_case "unbound (L101)" `Quick test_mutation_unbound;
          Alcotest.test_case "unused local (L102)" `Quick

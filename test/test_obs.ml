@@ -70,7 +70,7 @@ let test_json_mentions_everything () =
   fresh ();
   Obs.span "phase \"one\"" (fun () -> Obs.count "widgets");
   Obs.disable ();
-  let j = Obs.to_json () in
+  let j = Rsg_obs.Json.to_string (Obs.to_json ()) in
   let contains sub =
     let n = String.length sub and m = String.length j in
     let rec go i = i + n <= m && (String.sub j i n = sub || go (i + 1)) in

@@ -6,6 +6,7 @@
    as a structured error with the daemon still alive. *)
 
 open Rsg_serve
+module Json = Rsg_obs.Json
 
 (* ---- in-process daemon harness -------------------------------------- *)
 
@@ -446,6 +447,130 @@ let test_compact_op () =
   Client.close c;
   stop srv
 
+(* Every queued op answers what a direct library call on the same input
+   gives: batch and place byte for byte, since the daemon prints them
+   with the functions behind [rsg batch --json] and [rsg place --json];
+   the checkers' summaries as the objects a direct call yields. *)
+let test_ops_agree () =
+  let module Batch = Rsg_store.Batch in
+  let module Anneal = Rsg_search.Anneal in
+  let module Place_opt = Rsg_search.Place_opt in
+  let module Drc = Rsg_drc.Drc in
+  let module Erc = Rsg_erc.Erc in
+  let module Extract = Rsg_extract.Extract in
+  let module Flatten = Rsg_layout.Flatten in
+  let module Diag = Rsg_lint.Diag in
+  let srv = start () in
+  let c = connect srv in
+  let answer op spec extra =
+    let what = op ^ " " ^ spec in
+    let r = rq c (request ~id:what op (("spec", str spec) :: extra)) in
+    check_ok what r;
+    match Json.member "result" r with
+    | Some v -> v
+    | None -> Alcotest.fail (what ^ ": no result")
+  in
+  let same what expected v =
+    Alcotest.(check string) what (Json.to_string expected) (Json.to_string v)
+  in
+  let cell spec =
+    match Jobspec.target_cell spec with
+    | Ok cell -> cell
+    | Error msg -> Alcotest.fail msg
+  in
+  let manifest =
+    "m6   multiplier size=6\n\
+     m8   multiplier size=8\n\
+     p3   pla rows=10-:10,0-1:01,11-:11\n\
+     p4   pla rows=101-:10,0-11:01,11--:11,-000:11 fold=true\n\
+     r16  rom words=1,9,4,13 word-bits=4\n\
+     d3   decoder n=3\n\
+     d4   decoder n=4\n\
+     ram1 ram words=16 bits=4\n"
+  in
+  (match Jobspec.parse_manifest manifest with
+  | Ok jobs ->
+    same "batch"
+      (Batch.to_json (Batch.run ~domains:1 jobs))
+      (answer "batch" manifest [])
+  | Error msg -> Alcotest.fail msg);
+  same "place"
+    (Place_opt.summary_json ~target:"pla" ~strategy:"anneal" ~seed:3
+       (Anneal.run ~domains:1 ~chains:1 ~iters:4 ~seed:3 Place_opt.problem
+          (Place_opt.make [ cell "pla"; cell "pla" ])))
+    (answer "place" "pla"
+       [ ("blocks", Json.Int 2); ("seed", Json.Int 3); ("iters", Json.Int 4);
+         ("chains", Json.Int 1) ]);
+  List.iter
+    (fun spec ->
+      let flat = Flatten.protos_flat (Flatten.prototypes (cell spec)) in
+      let d = Drc.check_flat ~domains:1 flat in
+      same ("drc " ^ spec)
+        (Json.Obj
+           [ ("clean", Json.Bool (Drc.clean d));
+             ("violations", Json.Int (List.length d.Drc.r_violations));
+             ("boxes", Json.Int d.Drc.r_boxes);
+             ("deck", Json.String d.Drc.r_deck) ])
+        (answer "drc" spec []);
+      let e = Erc.check_cell ~domains:1 (cell spec) in
+      same ("erc " ^ spec)
+        (Json.Obj
+           [ ("clean", Json.Bool (Erc.clean e));
+             ("nets", Json.Int e.Erc.r_nets);
+             ("devices", Json.Int e.Erc.r_devices);
+             ("rails", Json.Int e.Erc.r_rails);
+             ("levels", Json.Int (List.length e.Erc.r_levels));
+             ("cached", Json.Int e.Erc.r_cached);
+             ( "diagnostics",
+               Json.Int (List.length (Erc.to_diags e).Diag.r_diags) ) ])
+        (answer "erc" spec []);
+      let n =
+        Extract.of_items ~domains:1
+          (Rsg_compact.Scanline.items_of_flat flat)
+          (Array.to_list flat.Flatten.flat_labels)
+      in
+      same ("extract " ^ spec)
+        (Json.Obj
+           [ ("nets", Json.Int n.Extract.n_nets);
+             ("devices", Json.Int (Extract.n_devices n)) ])
+        (answer "extract" spec []))
+    [ "pla"; "ram"; "multiplier"; "decoder" ];
+  List.iter
+    (fun spec ->
+      match Jobspec.lint_builtin spec with
+      | None -> Alcotest.fail (spec ^ " is no lint builtin")
+      | Some (file, cfg, text) ->
+        let r = Rsg_lint.Design_lint.check_string ~file cfg text in
+        same ("lint " ^ spec)
+          (Json.Obj
+             [ ("clean", Json.Bool (Diag.clean r));
+               ("errors", Json.Int (List.length (Diag.errors r)));
+               ("warnings", Json.Int (List.length (Diag.warnings r)));
+               ("checked", Json.Int r.Diag.r_checked) ])
+          (answer "lint" spec []))
+    [ "mult"; "pla" ];
+  Client.close c;
+  stop srv
+
+(* A started job is never preempted, so place's size fields are
+   bounded when the request is parsed: an out-of-range value is a
+   bad_request, and no job runs. *)
+let test_place_bound field values () =
+  let srv = start () in
+  let c = connect srv in
+  let jobs = counter c "serve.job" in
+  List.iter
+    (fun v ->
+      let what = Printf.sprintf "%s=%d" field v in
+      check_err what "bad_request"
+        (rq c
+           (request ~id:what "place"
+              [ ("spec", str "pla"); (field, Json.Int v) ])))
+    values;
+  Alcotest.(check int) "no job ran" jobs (counter c "serve.job");
+  Client.close c;
+  stop srv
+
 (* ---- drain ----------------------------------------------------------- *)
 
 let test_drain_completes_inflight () =
@@ -603,7 +728,18 @@ let () =
       ( "coalesce",
         [ Alcotest.test_case "identical generates share" `Quick test_coalescing ]
       );
-      ( "ops", [ Alcotest.test_case "compact" `Quick test_compact_op ] );
+      ( "ops",
+        [
+          Alcotest.test_case "compact" `Quick test_compact_op;
+          Alcotest.test_case "every op agrees with a direct call" `Quick
+            test_ops_agree;
+          Alcotest.test_case "place blocks bound" `Quick
+            (test_place_bound "blocks" [ 0; 17 ]);
+          Alcotest.test_case "place iters bound" `Quick
+            (test_place_bound "iters" [ -1; 257 ]);
+          Alcotest.test_case "place chains bound" `Quick
+            (test_place_bound "chains" [ 0; 5 ]);
+        ] );
       ( "drain",
         [
           Alcotest.test_case "in-flight completes" `Quick

@@ -536,8 +536,8 @@ let test_ercs_roundtrip () =
   Alcotest.(check int) "all levels replay" (List.length r2.Erc.r_levels)
     r2.Erc.r_cached;
   Alcotest.(check string) "replayed diagnostics identical"
-    (Diag.report_to_json (Erc.to_diags r))
-    (Diag.report_to_json (Erc.to_diags r2));
+    (Rsg_obs.Json.to_string (Diag.report_to_json (Erc.to_diags r)))
+    (Rsg_obs.Json.to_string (Diag.report_to_json (Erc.to_diags r2)));
   (* the sections table accounts the new payload section *)
   let row =
     List.find
@@ -1022,7 +1022,7 @@ let test_cached_erc () =
     ~replayed:(fun _ r ->
       List.map (fun (l : Erc.level) -> (l.Erc.l_hash, l.Erc.l_cached)) r.Erc.r_levels)
     ~canon:(fun r ->
-      Erc.report_to_json
+      Rsg_obs.Json.to_string @@ Erc.report_to_json
         { r with
           Erc.r_cached = 0;
           r_levels = List.map (fun (l : Erc.level) -> { l with Erc.l_cached = false }) r.Erc.r_levels })
