@@ -60,11 +60,18 @@ let with_obs (text, json) f =
 (* reads to end of input, so pipes work as well as files *)
 let read_file path = In_channel.with_open_bin path In_channel.input_all
 
+(* an input that cannot be read or parsed prints its message and exits
+   1, never an uncaught exception *)
+let or_exit f =
+  try f ()
+  with Failure msg | Sys_error msg ->
+    Format.eprintf "%s@." msg;
+    exit 1
+
 (* A sample CIF holds leaf cells plus labelled assembly cells; every
    symbol that contains both instances and labels is extracted. *)
-let sample_of_cif path =
-  let r = Cif.read_file path in
-  fst (Sample.of_db r.Cif.db)
+let sample_of_cif text =
+  or_exit (fun () -> fst (Sample.of_db (Cif.of_string text).Cif.db))
 
 let write_layout out cell =
   (* format by extension: .def gets the native text format, anything
@@ -101,13 +108,16 @@ let domains_term =
            count.  Results are identical for every value; 1 runs fully \
            sequentially.")
 
-(* gate a generator's output: clean passes silently with a one-line
-   note, violations dump the report and abort before anything is
-   written.  Takes already-flattened geometry so the warm cache path
-   can gate the stored flat view without re-flattening. *)
-let drc_gate_flat ?domains enabled flat =
+(* gate a layout: clean passes silently with a one-line note,
+   violations dump the report and abort before anything is written.
+   Flattens through the prototype cache: once per distinct celltype
+   rather than once per instance *)
+let drc_gate ?domains enabled cell =
   if enabled then begin
-    let r = Rsg_drc.Drc.check_flat ?domains flat in
+    let r =
+      Rsg_drc.Drc.check_flat ?domains
+        (Flatten.protos_flat (Flatten.prototypes cell))
+    in
     if Rsg_drc.Drc.clean r then
       Format.printf "drc: clean (%d boxes, %d regions, deck %s)@."
         r.Rsg_drc.Drc.r_boxes r.Rsg_drc.Drc.r_regions r.Rsg_drc.Drc.r_deck
@@ -116,12 +126,6 @@ let drc_gate_flat ?domains enabled flat =
       exit 1
     end
   end
-
-(* the hierarchical entry point flattens through the prototype cache:
-   once per distinct celltype rather than once per instance *)
-let drc_gate ?domains enabled cell =
-  if enabled then
-    drc_gate_flat ?domains enabled (Flatten.protos_flat (Flatten.prototypes cell))
 
 (* ---- electrical rule gating ---------------------------------------- *)
 
@@ -201,8 +205,8 @@ let cache_arg =
         ~doc:
           "Content-addressed layout cache.  The result is keyed by design \
            text + parameters + rule deck + scale + codec version; a verified \
-           hit loads the stored hierarchy and flattened geometry and skips \
-           parse/expand/flatten entirely, a corrupt entry is reported and \
+           hit loads the stored hierarchy and skips parse/expand entirely, \
+           replaying stored check results; a corrupt entry is reported and \
            regenerated.  Manage with $(b,rsg cache).")
 
 let save_db_arg =
@@ -211,9 +215,9 @@ let save_db_arg =
     & opt (some string) None
     & info [ "save-db" ] ~docv:"FILE"
         ~doc:
-          "Also write the result as a binary layout database (hierarchy + \
-           flattened geometry, checksummed); $(b,rsg drc/stats/masks \
-           --from-db) reread it without regenerating.")
+          "Also write the result as a binary layout database (the \
+           hierarchy, checksummed); $(b,rsg drc/stats/masks --from-db) \
+           reread it without regenerating.")
 
 let scale_arg =
   Arg.(
@@ -232,8 +236,9 @@ let from_db_arg =
     & opt (some file) None
     & info [ "from-db" ] ~docv:"FILE"
         ~doc:
-          "Read the layout from a binary database written by \
-           $(b,--save-db) instead of a CIF file.")
+          "Read the layout hierarchy from a binary database written by \
+           $(b,--save-db) instead of a CIF file; checks that need flat \
+           geometry compose it from that hierarchy.")
 
 let load_db path =
   match Codec.read_file path with
@@ -249,7 +254,7 @@ let load_db path =
    prototype is checked once ({!Rsg_drc.Drc.check_protos}); [cached]
    replays levels computed by an earlier run when the subtree digest
    and deck digest both match.  Same pass/fail behaviour as
-   [drc_gate_flat] — the hier-vs-flat agreement tests pin that — but
+   [drc_gate] — the hier-vs-flat agreement tests pin that — but
    incremental runs skip every clean prototype. *)
 let drc_gate_protos ?domains ~cached protos =
   let r = Rsg_drc.Drc.check_protos ?domains ~cached protos in
@@ -266,14 +271,13 @@ let drc_gate_protos ?domains ~cached protos =
   end
 
 (* Run one generator through the store (Store.Cached.run).  A hit
-   loads the stored hierarchy and flat view; --drc/--erc replay the
-   entry's own per-prototype results.  A miss generates, after
-   harvesting the previous entry for this design ([stem] names the
-   design independently of its content, so an edit still finds it):
-   only the dirty prototypes — the edited celltypes and their
-   ancestors — are checked, and the new entry marks the rest reused so
-   the next edit harvests it in turn.  The flat view is lazy so a
-   plain uncached run never pays for it. *)
+   loads the stored hierarchy; --drc/--erc replay the entry's own
+   per-prototype results.  A miss generates, after harvesting the
+   previous entry for this design ([stem] names the design
+   independently of its content, so an edit still finds it): only the
+   dirty prototypes — the edited celltypes and their ancestors — are
+   checked, and the new entry marks the rest reused so the next edit
+   harvests it in turn. *)
 let run_cached ?domains ?(post = fun (c : Cell.t) -> c)
     ~store:(cache, save_db, scale) ~stem ~design ~params ~label
     ~stats:want_stats ~drc ~erc ~out gen =
@@ -322,18 +326,12 @@ let run_cached ?domains ?(post = fun (c : Cell.t) -> c)
     in
     (reports, ercs)
   in
-  let cell, _, flat, _ =
+  let cell, _, _ =
     Store.Cached.run run key ~redo:"regenerating"
       ~compute:(function
         | Some e ->
           let protos = lazy (Flatten.prototypes e.Codec.e_cell) in
-          let flat =
-            lazy
-              (match Lazy.force e.Codec.e_flat with
-              | Some f -> f
-              | None -> Flatten.protos_flat (Lazy.force protos))
-          in
-          (e.Codec.e_cell, protos, flat, gates protos)
+          (e.Codec.e_cell, protos, gates protos)
         | None ->
           let cell = gen () in
           let protos = Flatten.prototypes cell in
@@ -347,10 +345,10 @@ let run_cached ?domains ?(post = fun (c : Cell.t) -> c)
               let c = Scale.cell ~num:scale cell in
               (c, Flatten.prototypes c, ([], []))
           in
-          (cell, lazy protos, lazy (Flatten.protos_flat protos), checked))
-      ~save:(fun (cell, protos, flat, (reports, ercs)) ->
+          (cell, lazy protos, checked))
+      ~save:(fun (cell, protos, (reports, ercs)) ->
         let table =
-          Store.Cached.save run (lazy key) ~label ~flat
+          Store.Cached.save run (lazy key) ~label
             ~reused:(fun hex -> scale = 1 && Store.Cached.adopted run hex)
             ~reports:(Store.Cached.by_hex deck_digest reports)
             ~ercs:(Store.Cached.by_hex erc_digest ercs)
@@ -372,7 +370,7 @@ let run_cached ?domains ?(post = fun (c : Cell.t) -> c)
   if want_stats then print_stats cell;
   (match save_db with
   | Some path ->
-    Codec.write_file path (Codec.encode ~flat:(Lazy.force flat) ~label cell);
+    Codec.write_file path (Codec.encode ~label cell);
     Format.printf "wrote %s@." path
   | None -> ());
   (* [post] transforms only the written layout (e.g. generate
@@ -389,7 +387,7 @@ let generate design params sample_path out stats lint drc erc domains store
   let params_text = read_file params in
   let sample_text = read_file sample_path in
   let gen () =
-    let sample = fst (Sample.of_db (Cif.of_string sample_text).Cif.db) in
+    let sample = sample_of_cif sample_text in
     let param_tbl = Rsg_lang.Param.parse params_text in
     lint_gate lint ~source:design
       (Rsg_lint.Design_lint.config_of_params
@@ -868,7 +866,7 @@ let input_of cmd ~what arg from_db =
 (* a layout utility's input: positional CIF or --from-db database *)
 let utility_cell cmd path from_db =
   match input_of cmd ~what:"a CIF file" path from_db with
-  | Either.Left p -> Jobspec.top_cell_of_cif p
+  | Either.Left p -> or_exit (fun () -> Jobspec.top_cell_of_cif p)
   | Either.Right db -> (load_db db).Codec.e_cell
 
 (* ---- stats --------------------------------------------------------- *)
@@ -971,20 +969,15 @@ let drc target from_db rules json max_shown self_check compacted domains obs =
         Format.eprintf "%s:%d: %s@." path line msg;
         exit 1)
   in
-  (* the stored flat view lets a --from-db check skip flattening too,
-     unless compaction rewrites the geometry first *)
-  let cell, stored_flat =
+  let cell =
     match input_of "drc" ~what:"a target" target from_db with
-    | Either.Left t -> (target_cell t, None)
-    | Either.Right db ->
-      let e = load_db db in
-      (e.Codec.e_cell, Lazy.force e.Codec.e_flat)
+    | Either.Left t -> target_cell t
+    | Either.Right db -> (load_db db).Codec.e_cell
   in
-  let cell, stored_flat =
+  let cell =
     if compacted then
-      ( fst (Rsg_compact.Compactor.compact_cell Rsg_compact.Rules.default cell),
-        None )
-    else (cell, stored_flat)
+      fst (Rsg_compact.Compactor.compact_cell Rsg_compact.Rules.default cell)
+    else cell
   in
   if self_check then
     match Rsg_drc.Drc.self_check_cell ~deck ?domains cell with
@@ -993,12 +986,10 @@ let drc target from_db rules json max_shown self_check compacted domains obs =
       Format.eprintf "self-check failed: %s@." msg;
       exit 1
   else begin
-    let flat =
-      match stored_flat with
-      | Some f -> f
-      | None -> Flatten.protos_flat (Flatten.prototypes cell)
+    let r =
+      Rsg_drc.Drc.check_flat ~deck ?domains
+        (Flatten.protos_flat (Flatten.prototypes cell))
     in
-    let r = Rsg_drc.Drc.check_flat ~deck ?domains flat in
     if json then print_endline (Json.to_string (Rsg_drc.Drc.report_to_json r))
     else begin
       let total = List.length r.Rsg_drc.Drc.r_violations in
@@ -1280,7 +1271,7 @@ let lint target params_path sample_path assumes hashes json obs =
     | None ->
       let cells =
         Option.map
-          (fun p -> Db.names (sample_of_cif p).Sample.db)
+          (fun p -> Db.names (sample_of_cif (read_file p)).Sample.db)
           sample_path
       in
       let cfg =

@@ -1,11 +1,18 @@
 module Obs = Rsg_obs.Obs
 
 type entry = {
-  me_cell : Rsg_layout.Cell.t;
-  me_flat : Rsg_layout.Flatten.flat;
   me_cif : string;
-  me_bytes : int;
+  me_boxes : int;
+  me_drc : Rsg_obs.Json.t option;
 }
+
+(* Heap bytes an entry costs besides its CIF text, on a 64-bit build:
+   the record and the string's header and padding (at most 48), a DRC
+   summary (384 with the default deck's name), the 32-hex key, the
+   table's slot and its bucket (104), rounded up. *)
+let overhead = 640
+
+let charge e = String.length e.me_cif + overhead
 
 type slot = { entry : entry; mutable tick : int }
 
@@ -30,15 +37,15 @@ let locked t f =
   Mutex.lock t.mutex;
   Fun.protect f ~finally:(fun () -> Mutex.unlock t.mutex)
 
-let find t key =
+let find t ~drc key =
   locked t @@ fun () ->
   match Hashtbl.find_opt t.table key with
-  | Some slot ->
+  | Some slot when not (drc && slot.entry.me_drc = None) ->
     t.clock <- t.clock + 1;
     slot.tick <- t.clock;
     Obs.count "serve.mem_hit";
     Some slot.entry
-  | None ->
+  | Some _ | None ->
     Obs.count "serve.mem_miss";
     None
 
@@ -57,7 +64,7 @@ let evict_one t =
   | None -> false
   | Some (k, slot) ->
     Hashtbl.remove t.table k;
-    t.bytes <- t.bytes - slot.entry.me_bytes;
+    t.bytes <- t.bytes - charge slot.entry;
     Obs.count "serve.mem_evict";
     true
 
@@ -66,16 +73,16 @@ let add t key entry =
   (match Hashtbl.find_opt t.table key with
   | Some old ->
     Hashtbl.remove t.table key;
-    t.bytes <- t.bytes - old.entry.me_bytes
+    t.bytes <- t.bytes - charge old.entry
   | None -> ());
   (* evict down to budget; an entry larger than the whole budget is
      still admitted once the cache is empty, so the most recent result
      stays warm even under a tiny budget *)
-  while t.bytes + entry.me_bytes > t.budget && evict_one t do
+  while t.bytes + charge entry > t.budget && evict_one t do
     ()
   done;
   t.clock <- t.clock + 1;
   Hashtbl.replace t.table key { entry; tick = t.clock };
-  t.bytes <- t.bytes + entry.me_bytes
+  t.bytes <- t.bytes + charge entry
 
 let stats t = locked t @@ fun () -> (Hashtbl.length t.table, t.bytes)

@@ -150,53 +150,6 @@ let send_ok w result = send w.w_conn (Protocol.ok_response ~id:w.w_id result)
 
 (* ---- job bodies (run on worker domains) ----------------------------- *)
 
-let entry_of_cell ?disk_bytes cell flat =
-  let cif = Cif.to_string cell in
-  {
-    Mcache.me_cell = cell;
-    me_flat = flat;
-    me_cif = cif;
-    me_bytes = Option.value disk_bytes ~default:(String.length cif);
-  }
-
-(* memory -> store -> cold generation, populating upward *)
-let generate_entry srv (job : Batch.job) =
-  let key_hex = Store.key_hex job.Batch.j_key in
-  match Mcache.find srv.mem key_hex with
-  | Some e -> (e, "memory")
-  | None ->
-    let cold () =
-      let cell = job.Batch.j_gen () in
-      let protos = Flatten.prototypes cell in
-      let flat = Flatten.protos_flat protos in
-      (match srv.store with
-      | Some s ->
-        Store.save s job.Batch.j_key
-          ~stem:(job.Batch.j_kind ^ ":" ^ job.Batch.j_name)
-          ~label:job.Batch.j_label ~flat
-          ~protos:(Codec.proto_table protos) cell
-      | None -> ());
-      (entry_of_cell cell flat, "generated")
-    in
-    let entry, source =
-      match Option.map (fun s -> (s, Store.find s job.Batch.j_key)) srv.store with
-      | Some (s, Store.Hit e) ->
-        let cell = e.Codec.e_cell in
-        let flat =
-          match Lazy.force e.Codec.e_flat with
-          | Some f -> f
-          | None -> Flatten.protos_flat (Flatten.prototypes cell)
-        in
-        let disk_bytes =
-          try (Unix.stat (Store.path_of s job.Batch.j_key)).Unix.st_size
-          with Unix.Unix_error _ -> String.length e.Codec.e_label
-        in
-        (entry_of_cell ~disk_bytes cell flat, "store")
-      | Some (_, (Store.Miss | Store.Corrupt _)) | None -> cold ()
-    in
-    Mcache.add srv.mem key_hex entry;
-    (entry, source)
-
 let drc_json r =
   Json.Obj
     [
@@ -206,24 +159,64 @@ let drc_json r =
       ("deck", Json.String r.Drc.r_deck);
     ]
 
+(* store -> cold generation (which saves the hierarchy), then one
+   prototype pass for the box count and, when [drc], a check of a flat
+   that is dropped with the pass *)
+let build_entry srv (job : Batch.job) ~drc =
+  let cell, protos, source =
+    match Option.map (fun s -> Store.find s job.Batch.j_key) srv.store with
+    | Some (Store.Hit e) ->
+      (e.Codec.e_cell, Flatten.prototypes e.Codec.e_cell, "store")
+    | Some (Store.Miss | Store.Corrupt _) | None ->
+      let cell = job.Batch.j_gen () in
+      let protos = Flatten.prototypes cell in
+      Option.iter
+        (fun s ->
+          Store.save s job.Batch.j_key
+            ~stem:(job.Batch.j_kind ^ ":" ^ job.Batch.j_name)
+            ~label:job.Batch.j_label ~protos:(Codec.proto_table protos) cell)
+        srv.store;
+      (cell, protos, "generated")
+  in
+  let entry =
+    {
+      Mcache.me_cif = Cif.to_string cell;
+      me_boxes = (Flatten.protos_stats protos).Flatten.n_boxes;
+      me_drc =
+        (if drc then
+           Some
+             (drc_json
+                (Drc.check_flat ~domains:srv.cfg.job_domains
+                   (Flatten.protos_flat protos)))
+         else None);
+    }
+  in
+  Mcache.add srv.mem (Store.key_hex job.Batch.j_key) entry;
+  (entry, source)
+
+(* memory first; an entry answers unless [drc] asks for a summary it
+   lacks *)
+let generate_entry srv (job : Batch.job) ~drc =
+  match Mcache.find srv.mem ~drc (Store.key_hex job.Batch.j_key) with
+  | Some e -> (e, "memory")
+  | None -> build_entry srv job ~drc
+
 (* render one waiter's view of a shared generate result *)
-let render_generate srv (job : Batch.job) (entry : Mcache.entry) source w =
+let render_generate (job : Batch.job) (entry : Mcache.entry) source w =
   let base =
     [
       ("name", Json.String job.Batch.j_name);
       ("label", Json.String job.Batch.j_label);
       ("key", Json.String (Store.key_hex job.Batch.j_key));
       ("source", Json.String source);
-      ("boxes", Json.Int (Array.length entry.Mcache.me_flat.Flatten.flat_boxes));
+      ("boxes", Json.Int entry.Mcache.me_boxes);
       ("cif_sha", Json.String (Digest.to_hex (Digest.string entry.Mcache.me_cif)));
     ]
   in
   let with_drc =
-    if w.w_drc then
-      [ ("drc",
-         drc_json
-           (Drc.check_flat ~domains:srv.cfg.job_domains entry.Mcache.me_flat)) ]
-    else []
+    match entry.Mcache.me_drc with
+    | Some d when w.w_drc -> [ ("drc", d) ]
+    | _ -> []
   in
   let with_cif =
     if w.w_cif then [ ("cif", Json.String entry.Mcache.me_cif) ] else []
@@ -269,10 +262,11 @@ let run_generate srv key_hex (job : Batch.job) =
       response_finished w.w_conn)
     dead;
   if live <> [] then begin
-    let outcome =
-      try Ok (generate_entry srv job)
-      with e -> Error (Protocol.Job_failed (Printexc.to_string e))
+    let wants_drc = List.exists (fun w -> w.w_drc) in
+    let attempt f =
+      try Ok (f ()) with e -> Error (Protocol.Job_failed (Printexc.to_string e))
     in
+    let outcome = attempt (fun () -> generate_entry srv job ~drc:(wants_drc live)) in
     let waiters =
       locked srv.mu @@ fun () ->
       let ws =
@@ -284,11 +278,19 @@ let run_generate srv key_hex (job : Batch.job) =
       Atomic.decr srv.inflight_jobs;
       ws
     in
+    (* a waiter that attached during the build may want a summary the
+       entry lacks: rebuild once, with it *)
+    let with_drc =
+      match outcome with
+      | Ok (e, _) when e.Mcache.me_drc = None && wants_drc waiters ->
+        attempt (fun () -> build_entry srv job ~drc:true)
+      | o -> o
+    in
     Obs.count "serve.job";
     List.iter
       (fun w ->
-        (match outcome with
-        | Ok (entry, source) -> respond w (render_generate srv job entry source w)
+        (match if w.w_drc then with_drc else outcome with
+        | Ok (entry, source) -> respond w (render_generate job entry source w)
         | Error err -> send_error w err);
         response_finished w.w_conn)
       waiters

@@ -20,11 +20,19 @@
       to the same content-addressed store key while one is in flight
       attach to that computation instead of enqueueing their own; each
       attached request still gets its own response (its own [cif] /
-      [out] / [drc] rendering of the shared result).
+      [out] rendering of the shared result, and the DRC summary only
+      when it asked for [drc]).  One build serves them all: when any
+      waiter asks for [drc] the summary is computed once, and a waiter
+      that attached during a build without it gets one rebuild.
     - Results are served memory-first: a {!Mcache} under
-      [mem_budget] bytes holds decoded recent entries, below it the
-      {!Rsg_store.Store} on disk, below that cold generation (which
-      populates both).
+      [mem_budget] bytes holds recent replies (CIF, box count, DRC
+      summary once asked for), below it the {!Rsg_store.Store} on
+      disk, below that cold generation (which populates both, saving
+      the hierarchy).  A memory entry answers every later request
+      for its key without running anything, unless the request asks
+      for [drc] and the entry holds no summary; that request rebuilds
+      the entry, checking a flat composed for the check alone and
+      dropped after it.
 
     Shutdown is a drain: stop accepting, answer queued-and-running
     jobs, wake idle connections, join everything, remove the socket

@@ -21,39 +21,34 @@ type result = {
   r_outcome : outcome;
   r_seconds : float;
   r_cell : Cell.t option;
-  r_flat : Flatten.flat option;
   r_boxes : int;
 }
 
 let generate store job =
   let cell = job.j_gen () in
-  let flat = Flatten.protos_flat (Flatten.prototypes cell) in
   (match store with
-  | Some st -> Store.save st job.j_key ~label:job.j_label ~flat cell
+  | Some st -> Store.save st job.j_key ~label:job.j_label cell
   | None -> ());
-  (cell, flat)
+  cell
 
 let run_one store job =
   Obs.span ("batch." ^ job.j_name) @@ fun () ->
   let t0 = Unix.gettimeofday () in
-  let outcome, cell, flat =
+  let outcome, cell, boxes =
     match
-      match store with
-      | None -> (Generated, generate None job)
-      | Some st -> (
-          match Store.find st job.j_key with
-          | Store.Hit e ->
-              let flat =
-                match Lazy.force e.Codec.e_flat with
-                | Some f -> f
-                | None -> Flatten.protos_flat (Flatten.prototypes e.Codec.e_cell)
-              in
-              (Hit, (e.Codec.e_cell, flat))
-          | Store.Miss -> (Generated, generate store job)
-          | Store.Corrupt err -> (Regenerated err, generate store job))
+      let outcome, cell =
+        match store with
+        | None -> (Generated, generate None job)
+        | Some st -> (
+            match Store.find st job.j_key with
+            | Store.Hit e -> (Hit, e.Codec.e_cell)
+            | Store.Miss -> (Generated, generate store job)
+            | Store.Corrupt err -> (Regenerated err, generate store job))
+      in
+      (outcome, cell, (Flatten.stats cell).Flatten.n_boxes)
     with
-    | outcome, (cell, flat) -> (outcome, Some cell, Some flat)
-    | exception exn -> (Failed (Printexc.to_string exn), None, None)
+    | outcome, cell, boxes -> (outcome, Some cell, boxes)
+    | exception exn -> (Failed (Printexc.to_string exn), None, 0)
   in
   let seconds = Unix.gettimeofday () -. t0 in
   Obs.count
@@ -67,9 +62,7 @@ let run_one store job =
     r_outcome = outcome;
     r_seconds = seconds;
     r_cell = cell;
-    r_flat = flat;
-    r_boxes =
-      (match flat with Some f -> Array.length f.Flatten.flat_boxes | None -> 0);
+    r_boxes = boxes;
   }
 
 let run ?domains ?store jobs =

@@ -4,11 +4,11 @@
     cache key and a closure that produces the layout from scratch —
     and fans them across the {!Rsg_par.Par} domain pool.  Each job
     first consults the store: a verified hit loads the stored
-    hierarchy and flattened geometry, a miss (or corrupt entry) runs
-    the closure, flattens through the prototype cache and installs the
-    result.  Results come back in manifest order regardless of
-    scheduling, so summaries and outputs are bit-identical for any
-    domain count.
+    hierarchy, a miss (or corrupt entry) runs the closure and installs
+    the hierarchy.  Either way the box count comes from the prototype
+    cache's census; no flattened geometry is built or kept.  Results
+    come back in manifest order regardless of scheduling, so summaries
+    and outputs are bit-identical for any domain count.
 
     Observability: each job runs in an {!Rsg_obs.Obs} span
     [batch.<name>] and bumps one of the counters [batch.hit],
@@ -36,7 +36,6 @@ type result = {
   r_outcome : outcome;
   r_seconds : float;  (** wall-clock for this job, timed in-worker *)
   r_cell : Cell.t option;  (** [None] iff [Failed] *)
-  r_flat : Flatten.flat option;
   r_boxes : int;  (** flattened box count, 0 on failure *)
 }
 

@@ -39,7 +39,6 @@ type proto = {
 type entry = {
   e_label : string;
   e_cell : Cell.t;
-  e_flat : Flatten.flat option Lazy.t;
   e_protos : proto array;
 }
 
@@ -157,8 +156,9 @@ let byte r what =
     c
   end
 
-(* Hot in warm loads (five varints per flattened box), so the common
-   single-byte case takes one bounds check and no calls. *)
+(* Hot in warm loads (four varints per box of the cell and prototype
+   tables), so the common single-byte case takes one bounds check and
+   no calls. *)
 let get_uint r what =
   let src = r.src in
   let len = String.length src in
@@ -426,8 +426,8 @@ let proto_table ?(reused = fun _ -> false) ?(reports = fun _ -> [])
 (* Flattened boxes are written as coordinate deltas against the
    previous box (zigzag keeps either sign short): the flattener emits
    them with strong spatial locality, so most deltas fit one varint
-   byte, roughly halving the section and keeping warm loads on the
-   decoder's inline fast path. *)
+   byte.  No reader decodes the section: {!decode} skips it and
+   {!sections} counts its boxes. *)
 let put_flat buf (f : Flatten.flat) =
   put_uint buf (Array.length f.Flatten.flat_boxes);
   let pxmin = ref 0 and pymin = ref 0 and pxmax = ref 0 and pymax = ref 0 in
@@ -469,9 +469,7 @@ let encode ?flat ?(protos = [||]) ~label cell =
   | None -> put_uint payload 0
   | Some f ->
     put_uint payload 1;
-    (* length-prefixed so decode can skip the section and hand back a
-       lazy view: runs that never touch the flat geometry (plain CIF
-       writes) skip the bulk of the payload entirely *)
+    (* length-prefixed so decode can skip the section *)
     let fbuf = Buffer.create 4096 in
     put_flat fbuf f;
     put_uint payload (Buffer.length fbuf);
@@ -644,84 +642,6 @@ let get_protos ?on_record r =
   done;
   Array.map Option.get out
 
-(* eager, like [crc_tables] *)
-let layer_table = Array.of_list Layer.all
-
-(* The flattened box array is the bulk of an entry (five varints per
-   box), so it gets a specialised loop: one- and two-byte varints —
-   every coordinate a layout this size produces — decode inline with a
-   single bounds check, and only wider values fall back to the general
-   reader. *)
-let get_flat r =
-  let n_boxes = get_uint r "flat box count" in
-  let layers = layer_table in
-  let n_layers = Array.length layers in
-  let src = r.src in
-  let len = String.length src in
-  let pos = ref r.pos in
-  let uint () =
-    let p = !pos in
-    if p >= len then raise (Error (Truncated "flat box"));
-    let b0 = Char.code (String.unsafe_get src p) in
-    if b0 < 0x80 then begin
-      pos := p + 1;
-      b0
-    end
-    else begin
-      if p + 1 >= len then raise (Error (Truncated "flat box"));
-      let b1 = Char.code (String.unsafe_get src (p + 1)) in
-      if b1 < 0x80 then begin
-        pos := p + 2;
-        b0 land 0x7f lor (b1 lsl 7)
-      end
-      else begin
-        r.pos <- p;
-        let v = get_uint r "flat box" in
-        pos := r.pos;
-        v
-      end
-    end
-  in
-  let int () =
-    let z = uint () in
-    (z lsr 1) lxor (-(z land 1))
-  in
-  let pxmin = ref 0 and pymin = ref 0 and pxmax = ref 0 and pymax = ref 0 in
-  let boxes =
-    Array.init n_boxes (fun _ ->
-        let li = uint () in
-        if li >= n_layers then
-          raise
-            (Error (Malformed (Printf.sprintf "flat box: layer index %d" li)));
-        let layer = Array.unsafe_get layers li in
-        let xmin = !pxmin + int () in
-        let ymin = !pymin + int () in
-        let xmax = !pxmax + int () in
-        let ymax = !pymax + int () in
-        if xmin > xmax || ymin > ymax then
-          raise (Error (Malformed "flat box: inverted box"));
-        pxmin := xmin;
-        pymin := ymin;
-        pxmax := xmax;
-        pymax := ymax;
-        (layer, { Box.xmin; ymin; xmax; ymax }))
-  in
-  r.pos <- !pos;
-  let n_labels = get_uint r "flat label count" in
-  let labels =
-    Array.init n_labels (fun _ ->
-        let text = get_str r "flat label text" in
-        let at = get_vec r "flat label position" in
-        (text, at))
-  in
-  let bbox =
-    match get_uint r "flat bbox flag" with
-    | 0 -> None
-    | 1 -> Some (get_box r "flat bbox")
-    | f -> raise (Error (Malformed (Printf.sprintf "flat bbox flag %d" f)))
-  in
-  { Flatten.flat_boxes = boxes; flat_labels = labels; flat_bbox = bbox }
-
 let get_u32 r what =
   let b0 = byte r what in
   let b1 = byte r what in
@@ -749,6 +669,23 @@ let open_payload s =
     raise (Error (Checksum_mismatch { stored; computed }));
   { src = payload; pos = 0 }
 
+(* The flat section ends the payload: a flag, then (flag 1) a
+   length-prefixed body opening with its box count.  Nothing reads the
+   body; its framing is checked, its box count returned, and the
+   section skipped. *)
+let skip_flat r =
+  match get_uint r "flat flag" with
+  | 0 -> 0
+  | 1 ->
+    let flat_len = get_uint r "flat section length" in
+    let start = r.pos in
+    if flat_len < 0 || start + flat_len <> String.length r.src then
+      raise (Error (Malformed "flat section length"));
+    let n = get_uint r "flat box count" in
+    r.pos <- start + flat_len;
+    n
+  | f -> raise (Error (Malformed (Printf.sprintf "flat flag %d" f)))
+
 let decode s =
   let r = open_payload s in
   let label = get_str r "label" in
@@ -759,31 +696,10 @@ let decode s =
   for i = 0 to n_cells - 1 do
     cells.(i) <- get_cell r cells i
   done;
-  let flat =
-    match get_uint r "flat flag" with
-    | 0 ->
-      if r.pos <> String.length r.src then
-        raise (Error (Malformed "trailing bytes after payload"));
-      Lazy.from_val None
-    | 1 ->
-      (* the whole payload is already checksum-verified, so deferring
-         the (large) flat section costs no integrity; only the framing
-         is checked eagerly *)
-      let flat_len = get_uint r "flat section length" in
-      let start = r.pos in
-      if flat_len < 0 || start + flat_len <> String.length r.src then
-        raise (Error (Malformed "flat section length"));
-      let src = r.src in
-      lazy
-        (let fr = { src; pos = start } in
-         let f = get_flat fr in
-         if fr.pos <> start + flat_len then
-           raise (Error (Malformed "flat section length"));
-         Some f)
-    | f -> raise (Error (Malformed (Printf.sprintf "flat flag %d" f)))
-  in
-  { e_label = label; e_cell = cells.(n_cells - 1); e_flat = flat;
-    e_protos = protos }
+  ignore (skip_flat r);
+  if r.pos <> String.length r.src then
+    raise (Error (Malformed "trailing bytes after payload"));
+  { e_label = label; e_cell = cells.(n_cells - 1); e_protos = protos }
 
 let decode_label s =
   let r = open_payload s in
@@ -833,19 +749,7 @@ let sections s =
   done;
   let cell_bytes = r.pos - p2 in
   let p3 = r.pos in
-  let flat_boxes =
-    match get_uint r "flat flag" with
-    | 0 -> 0
-    | 1 ->
-      let flat_len = get_uint r "flat section length" in
-      let start = r.pos in
-      if flat_len < 0 || start + flat_len <> String.length r.src then
-        raise (Error (Malformed "flat section length"));
-      let n = get_uint r "flat box count" in
-      r.pos <- start + flat_len;
-      n
-    | f -> raise (Error (Malformed (Printf.sprintf "flat flag %d" f)))
-  in
+  let flat_boxes = skip_flat r in
   let flat_bytes = r.pos - p3 in
   [ { s_name = "container"; s_bytes = 16; s_entries = 1 };
     { s_name = "label"; s_bytes = label_bytes; s_entries = 1 };

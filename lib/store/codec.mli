@@ -2,11 +2,11 @@
 
     Serialises one cell hierarchy — every distinct cell reachable from
     a root, children before parents, with its boxes, labels and
-    instance calls — plus (optionally) the root's flattened geometry,
-    so a reader gets back both the hierarchical layout (for CIF/DEF
-    writing, byte-identical to the original) and the prototype-built
-    flat view (for DRC/extraction/stats) without re-expanding or
-    re-flattening anything.
+    instance calls — so a reader gets back the hierarchical layout
+    (for CIF/DEF writing, byte-identical to the original) without
+    re-expanding anything.  Flat geometry is recomposed from that
+    hierarchy through the prototype cache
+    ({!Rsg_layout.Flatten.prototypes}) by whichever check needs it.
 
     The format is deliberately {e not} [Marshal]: OCaml's marshaller is
     not stable across compiler versions, silently accepts any value,
@@ -17,9 +17,8 @@
 
     (fixed-width fields little-endian; payload integers as LEB128
     varints, signed values zigzag-encoded; strings length-prefixed;
-    the flattened-box section stores coordinate deltas against the
-    previous box and is itself length-prefixed, so {!decode} can skip
-    it and hand back a lazy view).
+    an optional trailing flattened-box section is length-prefixed,
+    so {!decode} checks its framing and skips it).
     Every decode verifies magic, version, length and checksum and
     raises the typed {!Error} on any mismatch, so a truncated or
     bit-flipped file is detected instead of producing garbage
@@ -112,12 +111,6 @@ type proto = {
 type entry = {
   e_label : string;  (** human description, e.g. ["multiplier 8x8"] *)
   e_cell : Cell.t;   (** the root of the decoded hierarchy *)
-  e_flat : Flatten.flat option Lazy.t;
-      (** the root's flattened geometry, when the writer stored it;
-          identical to [Flatten.flatten e_cell] box for box.  Lazy:
-          the section is length-prefixed and checksum-verified up
-          front but only decoded on force, so loads that just rewrite
-          the hierarchy (CIF output) skip the bulk of the entry *)
   e_protos : proto array;
       (** the prototype table, children before parents; empty when the
           writer supplied none *)
@@ -137,12 +130,14 @@ val proto_table :
     the record's metadata; all default to nothing. *)
 
 val encode : ?flat:Flatten.flat -> ?protos:proto array -> label:string -> Cell.t -> string
-(** Serialise [cell] (and, when given, its flattened view and
-    prototype table) into a self-contained byte string. *)
+(** Serialise [cell] (and, when given, its prototype table) into a
+    self-contained byte string.  The flat section is written only for
+    a caller that passes [flat], and is never decoded. *)
 
 val decode : string -> entry
-(** Parse and verify a byte string produced by {!encode}.  Raises
-    {!Error} on any corruption, version or framing problem. *)
+(** Parse and verify a byte string produced by {!encode}.  A flat
+    section's flag and length are checked and the section skipped.
+    Raises {!Error} on any corruption, version or framing problem. *)
 
 val decode_label : string -> string
 (** Cheap peek at the entry's label: verifies the container framing
@@ -163,8 +158,9 @@ val sections : string -> section list
     label, prototype geometry, cached DRC reports, cached ERC
     verdicts, cached place evals, cell table, flat geometry — in
     payload order.  Entries are records / reports / verdicts / evals /
-    cells / flattened boxes as appropriate to the section.  Raises
-    {!Error} like {!decode}. *)
+    cells / flattened boxes as appropriate to the section; an entry
+    written without a flat has a one-byte, zero-box flat section.
+    Raises {!Error} like {!decode}. *)
 
 val write_file : string -> string -> unit
 (** [write_file path data] writes atomically and durably: a fresh

@@ -231,7 +231,7 @@ module Cached = struct
     | Some a -> [ (digest, a) ]
     | None -> []
 
-  let save r k ~label ?flat ?reused ?reports ?ercs ?places
+  let save r k ~label ?reused ?reports ?ercs ?places
       ?(note = fun table -> Printf.sprintf "%d prototypes" (Array.length table))
       protos cell =
     match r.store with
@@ -242,8 +242,7 @@ module Cached = struct
         Codec.proto_table ?reused ?reports ?ercs ?places
           (Lazy.force protos)
       in
-      save s k ~stem:r.stem ~label ?flat:(Option.map Lazy.force flat)
-        ~protos:table cell;
+      save s k ~stem:r.stem ~label ~protos:table cell;
       Format.fprintf r.log "cache: saved %s (%s)@." (short k) (note table);
       table
 

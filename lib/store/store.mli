@@ -6,9 +6,10 @@
     by (design text, parameters, rule deck, scale, codec version).
     The store exploits that: entries are {!Codec}-encoded layout
     databases filed under a {!key} — a stable digest of exactly those
-    inputs — so a warm run loads the finished (and already flattened)
-    layout in O(file read) instead of re-parsing, re-expanding,
-    re-flattening and re-checking.
+    inputs — so a warm run loads the finished hierarchy in O(file
+    read) instead of re-parsing, re-expanding and re-checking; a
+    check that needs flat geometry recomposes it from that hierarchy
+    through the prototype cache.
 
     The v2 codec makes entries useful even after an edit misses the
     key: the prototype table inside each entry is content-addressed by
@@ -99,7 +100,8 @@ val save :
   Cell.t ->
   unit
 (** Encode and atomically install an entry (last writer wins).
-    [stem] names the design {e independently of its content} —
+    [flat] adds the codec's flat section, which no reader decodes
+    ({!Codec.encode}).  [stem] names the design {e independently of its content} —
     generator family plus design identity, excluding parameters and
     text that edits change — and installs a per-stem [.latest]
     pointer to this key, which is what lets a later run of an edited
@@ -169,7 +171,6 @@ module Cached : sig
     t ->
     key Lazy.t ->
     label:string ->
-    ?flat:Flatten.flat Lazy.t ->
     ?reused:(string -> bool) ->
     ?reports:(string -> (string * Rsg_drc.Drc.cached_level) list) ->
     ?ercs:(string -> (string * Rsg_erc.Erc.cached_verdict) list) ->

@@ -405,6 +405,153 @@ let test_coalescing () =
   Client.close c;
   stop srv
 
+(* ---- generate answers from the memory entry -------------------------- *)
+
+let result_of what r =
+  check_ok what r;
+  match Json.member "result" r with
+  | Some v -> v
+  | None -> Alcotest.fail (what ^ ": no result")
+
+let gen_drc ~id ?(drc = true) spec =
+  request ~id "generate" [ ("spec", str spec); ("drc", Json.Bool drc) ]
+
+(* the summary a direct flat check gives, as the daemon renders it *)
+let direct_summary spec =
+  let module Drc = Rsg_drc.Drc in
+  let module Flatten = Rsg_layout.Flatten in
+  match Jobspec.parse_line 1 spec with
+  | Ok (Some job) ->
+    let flat =
+      Flatten.protos_flat (Flatten.prototypes (job.Rsg_store.Batch.j_gen ()))
+    in
+    let d = Drc.check_flat ~domains:1 flat in
+    ( Json.Obj
+        [ ("clean", Json.Bool (Drc.clean d));
+          ("violations", Json.Int (List.length d.Drc.r_violations));
+          ("boxes", Json.Int d.Drc.r_boxes);
+          ("deck", Json.String d.Drc.r_deck) ],
+      Array.length flat.Flatten.flat_boxes )
+  | _ -> Alcotest.fail ("bad spec " ^ spec)
+
+let check_drc what expected result =
+  match Json.member "drc" result with
+  | Some d ->
+    Alcotest.(check string) (what ^ " drc") (Json.to_string expected)
+      (Json.to_string d)
+  | None -> Alcotest.fail (what ^ ": no drc summary")
+
+(* A cold drc generate runs one check; the warm one is answered from
+   the memory entry with the same summary and runs none. *)
+let test_generate_drc_warm () =
+  let srv = start () in
+  let c = connect srv in
+  let spec = "d4 decoder n=4" in
+  let before = counter c "drc.checks" in
+  let cold = result_of "cold" (rq c (gen_drc ~id:"cold" spec)) in
+  let warm = result_of "warm" (rq c (gen_drc ~id:"warm" spec)) in
+  let checks = counter c "drc.checks" - before in
+  let summary, boxes = direct_summary spec in
+  List.iter
+    (fun (what, r) ->
+      check_drc what summary r;
+      Alcotest.(check (option int)) (what ^ " boxes") (Some boxes)
+        (Json.mem_int "boxes" r))
+    [ ("cold", cold); ("warm", warm) ];
+  Alcotest.(check (option string)) "warm source" (Some "memory")
+    (Json.mem_string "source" warm);
+  Alcotest.(check int) "one check for both" 1 checks;
+  Client.close c;
+  stop srv
+
+(* An entry built without drc cannot answer a drc request; the
+   rebuilt entry carries the summary and answers the next one. *)
+let test_generate_drc_after_plain () =
+  let srv = start () in
+  let c = connect srv in
+  let spec = "d3 decoder n=3" in
+  let plain = result_of "plain" (rq c (gen_drc ~id:"plain" ~drc:false spec)) in
+  Alcotest.(check bool) "plain has no drc" true (Json.member "drc" plain = None);
+  let second = result_of "second" (rq c (gen_drc ~id:"second" spec)) in
+  let summary, _ = direct_summary spec in
+  check_drc "second" summary second;
+  let before = counter c "drc.checks" in
+  let third = result_of "third" (rq c (gen_drc ~id:"third" spec)) in
+  Alcotest.(check int) "third runs no drc" before (counter c "drc.checks");
+  check_drc "third" summary third;
+  Alcotest.(check (option string)) "third source" (Some "memory")
+    (Json.mem_string "source" third);
+  Client.close c;
+  stop srv
+
+(* drc:false and drc:true attached to one leader: one build, one check,
+   and only the waiter that asked gets a summary. *)
+let test_generate_mixed_flags () =
+  let srv = start ~workers:1 ~queue:8 () in
+  let c = connect srv in
+  let spec = "cm multiplier size=4" in
+  let before = counter c "drc.checks" in
+  let responses =
+    match
+      Client.pipeline c
+        [ request ~id:"pin" "sleep" [ ("ms", Json.Int 300) ];
+          gen_drc ~id:"plain" ~drc:false spec;
+          gen_drc ~id:"checked" spec ]
+    with
+    | Ok rs -> rs
+    | Error m -> Alcotest.fail m
+  in
+  let find id =
+    match
+      List.find_opt (fun r -> id_of r = Some (Json.String id)) responses
+    with
+    | Some r -> result_of id r
+    | None -> Alcotest.fail ("no response for " ^ id)
+  in
+  let plain = find "plain" and checked = find "checked" in
+  Alcotest.(check int) "one check" 1 (counter c "drc.checks" - before);
+  Alcotest.(check bool) "plain has no drc" true (Json.member "drc" plain = None);
+  check_drc "checked" (fst (direct_summary spec)) checked;
+  Client.close c;
+  stop srv
+
+(* An entry is charged what it holds: at least its reachable heap
+   bytes, at most twice them; the budget counts in those charges. *)
+let test_mcache_charge () =
+  let entry n drc =
+    let cell = (Rsg_pla.Gen.generate_decoder n).Rsg_pla.Gen.cell in
+    { Mcache.me_cif = Rsg_layout.Cif.to_string cell;
+      me_boxes = (Rsg_layout.Flatten.stats cell).Rsg_layout.Flatten.n_boxes;
+      me_drc = (if drc then Some (fst (direct_summary "d decoder n=3")) else None) }
+  in
+  List.iter
+    (fun (what, e) ->
+      let m = Mcache.create ~budget_bytes:(1 lsl 20) in
+      Mcache.add m "k" e;
+      let reachable = Obj.reachable_words (Obj.repr e) * (Sys.word_size / 8) in
+      let _, charged = Mcache.stats m in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: charge %d covers %d reachable" what charged reachable)
+        true (charged >= reachable);
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: charge %d within twice %d" what charged reachable)
+        true (charged <= 2 * reachable))
+    [ ("d2 plain", entry 2 false); ("d2 drc", entry 2 true);
+      ("d4 drc", entry 4 true) ];
+  let e = entry 3 true in
+  let one =
+    let m = Mcache.create ~budget_bytes:(1 lsl 20) in
+    Mcache.add m "k" e;
+    snd (Mcache.stats m)
+  in
+  let m = Mcache.create ~budget_bytes:(one * 3 / 2) in
+  Mcache.add m "a" e;
+  Mcache.add m "b" e;
+  Alcotest.(check (pair int int)) "budget of 1.5 entries keeps one" (1, one)
+    (Mcache.stats m);
+  Alcotest.(check bool) "the newer stays" true
+    (Mcache.find m ~drc:true "b" <> None && Mcache.find m ~drc:false "a" = None)
+
 (* ---- ops ------------------------------------------------------------- *)
 
 (* The compact op answers with exactly a direct Hcompact.hier call's
@@ -728,6 +875,16 @@ let () =
       ( "coalesce",
         [ Alcotest.test_case "identical generates share" `Quick test_coalescing ]
       );
+      ( "generate",
+        [
+          Alcotest.test_case "warm drc answered from memory" `Quick
+            test_generate_drc_warm;
+          Alcotest.test_case "drc after a plain entry" `Quick
+            test_generate_drc_after_plain;
+          Alcotest.test_case "mixed drc flags on one leader" `Quick
+            test_generate_mixed_flags;
+          Alcotest.test_case "entry charge" `Quick test_mcache_charge;
+        ] );
       ( "ops",
         [
           Alcotest.test_case "compact" `Quick test_compact_op;

@@ -48,24 +48,52 @@ let flat_equal (a : Flatten.flat) (b : Flatten.flat) =
   && a.Flatten.flat_labels = b.Flatten.flat_labels
   && a.Flatten.flat_bbox = b.Flatten.flat_bbox
 
+(* what a decoded entry holds, comparable across encodings *)
+let entry_view (e : Codec.entry) =
+  ( e.Codec.e_label,
+    Cif.to_string e.Codec.e_cell,
+    Array.map
+      (fun (p : Codec.proto) ->
+        ( p.Codec.p_hash, p.Codec.p_reused, Cif.to_string p.Codec.p_cell,
+          List.length p.Codec.p_reports, p.Codec.p_ercs, p.Codec.p_places ))
+      e.Codec.e_protos )
+
+let flat_section data =
+  match
+    List.find_opt
+      (fun (s : Codec.section) -> s.Codec.s_name = "flat")
+      (Codec.sections data)
+  with
+  | Some s -> s
+  | None -> Alcotest.fail "no flat section"
+
 (* ---- codec round-trips ---------------------------------------------- *)
 
+(* An entry written with a flat section decodes to exactly what the
+   same entry without one decodes to: the reader skips the section,
+   and only Codec.sections still counts its boxes. *)
 let test_roundtrip_families () =
   List.iter
     (fun (name, build) ->
       let cell = build () in
       let flat = Flatten.flatten cell in
-      let data = Codec.encode ~flat ~label:name cell in
+      let protos = Codec.proto_table (Flatten.prototypes cell) in
+      let data = Codec.encode ~flat ~protos ~label:name cell in
       let entry = Codec.decode data in
       Alcotest.(check string) (name ^ " label") name entry.Codec.e_label;
       Alcotest.(check string)
         (name ^ " cif identical")
         (Cif.to_string cell)
         (Cif.to_string entry.Codec.e_cell);
-      (match Lazy.force entry.Codec.e_flat with
-      | None -> Alcotest.fail (name ^ ": flat section lost")
-      | Some f ->
-        Alcotest.(check bool) (name ^ " flat identical") true (flat_equal flat f));
+      Alcotest.(check bool)
+        (name ^ " decodes as without flat")
+        true
+        (entry_view entry
+        = entry_view (Codec.decode (Codec.encode ~protos ~label:name cell)));
+      Alcotest.(check int)
+        (name ^ " sections count flat boxes")
+        (Array.length flat.Flatten.flat_boxes)
+        (flat_section data).Codec.s_entries;
       (* decoded hierarchy re-flattens to the same geometry *)
       Alcotest.(check bool)
         (name ^ " reflatten identical")
@@ -76,16 +104,43 @@ let test_roundtrip_families () =
         name (Codec.decode_label data))
     families
 
+(* [data] with its payload's final byte (the flat flag of an entry
+   written without a flat) replaced by [tail], re-framed with a valid
+   length and checksum so only the flat section's framing is wrong *)
+let with_flat_tail data tail =
+  let payload = String.sub data 16 (String.length data - 17) ^ tail in
+  let u32 n =
+    String.init 4 (fun i ->
+        Char.chr (Int32.to_int (Int32.shift_right_logical n (8 * i)) land 0xff))
+  in
+  String.sub data 0 8
+  ^ u32 (Int32.of_int (String.length payload))
+  ^ u32 (Codec.crc32 payload)
+  ^ payload
+
 let test_roundtrip_no_flat () =
   let cell = (Rsg_pla.Gen.generate_decoder 2).Rsg_pla.Gen.cell in
-  let entry = Codec.decode (Codec.encode ~label:"bare" cell) in
-  Alcotest.(check bool)
-    "no flat stored" true
-    (Lazy.force entry.Codec.e_flat = None);
+  let data = Codec.encode ~label:"bare" cell in
+  let entry = Codec.decode data in
+  let sec = flat_section data in
+  Alcotest.(check (pair int int))
+    "no flat stored: one flag byte, no boxes" (1, 0)
+    (sec.Codec.s_bytes, sec.Codec.s_entries);
   Alcotest.(check string)
     "cif identical"
     (Cif.to_string cell)
-    (Cif.to_string entry.Codec.e_cell)
+    (Cif.to_string entry.Codec.e_cell);
+  (* the skipped section's framing is still checked *)
+  List.iter
+    (fun (what, tail, msg) ->
+      match Codec.decode (with_flat_tail data tail) with
+      | _ -> Alcotest.failf "%s accepted" what
+      | exception Codec.Error (Codec.Malformed m) ->
+        Alcotest.(check string) what msg m
+      | exception Codec.Error e ->
+        Alcotest.failf "%s: wanted Malformed, got %a" what Codec.pp_error e)
+    [ ("flat flag 2", "\x02", "flat flag 2");
+      ("overrunning flat length", "\x01\x64\x00", "flat section length") ]
 
 (* A random hierarchy: a pool of cells where cell [i] may only
    instantiate cells [j < i] — acyclic by construction — with random
@@ -136,11 +191,13 @@ let qcheck_roundtrip =
        (QCheck.make gen_random_cell)
        (fun cell ->
          let flat = Flatten.flatten cell in
-         let entry = Codec.decode (Codec.encode ~flat ~label:"rand" cell) in
+         let data = Codec.encode ~flat ~label:"rand" cell in
+         let entry = Codec.decode data in
          Cif.to_string cell = Cif.to_string entry.Codec.e_cell
-         && (match Lazy.force entry.Codec.e_flat with
-            | Some f -> flat_equal flat f
-            | None -> false)
+         && entry_view entry
+            = entry_view (Codec.decode (Codec.encode ~label:"rand" cell))
+         && (flat_section data).Codec.s_entries
+            = Array.length flat.Flatten.flat_boxes
          && flat_equal flat (Flatten.flatten entry.Codec.e_cell)))
 
 (* ---- corruption ------------------------------------------------------ *)
@@ -1198,10 +1255,13 @@ let test_batch_corrupt_fallback () =
   (* fallback regeneration is box-for-box identical *)
   Alcotest.(check (list string))
     "fallback layouts identical" (cif_of_results cold) (cif_of_results warm);
-  (match (r0.Batch.r_flat, (List.hd cold).Batch.r_flat) with
+  (match (r0.Batch.r_cell, (List.hd cold).Batch.r_cell) with
   | Some a, Some b ->
-    Alcotest.(check bool) "fallback flat identical" true (flat_equal a b)
-  | _ -> Alcotest.fail "missing flat");
+    Alcotest.(check bool) "fallback flat identical" true
+      (flat_equal
+         (Flatten.protos_flat (Flatten.prototypes a))
+         (Flatten.protos_flat (Flatten.prototypes b)))
+  | _ -> Alcotest.fail "missing cell");
   (* and the re-save healed the entry *)
   match Store.find st first.Batch.j_key with
   | Store.Hit _ -> ignore (Store.clear st)
