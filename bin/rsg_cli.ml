@@ -1786,13 +1786,32 @@ let doctor_cmd =
           broken connectivity graph, repair the interface table, re-expand")
     Term.(const doctor $ const ())
 
+(* Input errors that escape every command's own handling print their
+   message and exit 1.  [Flatten.Depth_exceeded] is one: a CIF whose
+   symbols chain too deep parses fine and fails at its first flatten,
+   inside whichever pass runs first.  Anything else is a bug, reported
+   as cmdliner reports one. *)
 let () =
   let info = Cmd.info "rsg" ~version:"1.0" ~doc:"Regular Structure Generator" in
+  let cmd =
+    Cmd.group info
+      [ generate_cmd; multiplier_cmd; pla_cmd; rom_cmd; decoder_cmd;
+        place_cmd;
+        sim_cmd; stats_cmd; compact_cmd; masks_cmd; drc_cmd; erc_cmd;
+        lint_cmd; batch_cmd; cache_cmd; serve_cmd; client_cmd;
+        doctor_cmd ]
+  in
   exit
-    (Cmd.eval
-       (Cmd.group info
-          [ generate_cmd; multiplier_cmd; pla_cmd; rom_cmd; decoder_cmd;
-            place_cmd;
-            sim_cmd; stats_cmd; compact_cmd; masks_cmd; drc_cmd; erc_cmd;
-            lint_cmd; batch_cmd; cache_cmd; serve_cmd; client_cmd;
-            doctor_cmd ]))
+    (match Cmd.eval ~catch:false cmd with
+    | code -> code
+    | exception Flatten.Depth_exceeded { cell; max_depth } ->
+      Format.eprintf
+        "%s: instances nest deeper than %d levels (an instance cycle?)@." cell
+        max_depth;
+      1
+    | exception e ->
+      let bt = Printexc.get_raw_backtrace () in
+      Format.eprintf "rsg: internal error, uncaught exception:@\n%s@\n%s@."
+        (Printexc.to_string e)
+        (Printexc.raw_backtrace_to_string bt);
+      Cmd.Exit.internal_error)

@@ -27,6 +27,116 @@ let pair_table f =
   Array.init (n_layers * n_layers) (fun k ->
       f (Layer.of_index_exn (k / n_layers)) (Layer.of_index_exn (k mod n_layers)))
 
+(* ---- (key, index) ordering ------------------------------------------ *)
+
+(* An in-place introsort of an int array's [lo, hi) slice, specialised
+   to ints so no comparison goes through a closure or [compare]:
+   median-of-three quicksort, insertion sort below 16 elements, heap
+   sort once [depth] levels are spent. *)
+let insertion_sort (a : int array) lo hi =
+  for i = lo + 1 to hi - 1 do
+    let v = a.(i) and j = ref (i - 1) in
+    while !j >= lo && a.(!j) > v do
+      a.(!j + 1) <- a.(!j);
+      decr j
+    done;
+    a.(!j + 1) <- v
+  done
+
+let swap (a : int array) i j =
+  let t = a.(i) in
+  a.(i) <- a.(j);
+  a.(j) <- t
+
+(* restore the max-heap of [a.(lo) .. a.(lo + len - 1)] below [root] *)
+let sift_down (a : int array) lo root len =
+  let v = a.(lo + root) and i = ref root and settled = ref false in
+  while not !settled do
+    let c = (2 * !i) + 1 in
+    if c >= len then settled := true
+    else begin
+      let c = if c + 1 < len && a.(lo + c + 1) > a.(lo + c) then c + 1 else c in
+      if a.(lo + c) > v then begin
+        a.(lo + !i) <- a.(lo + c);
+        i := c
+      end
+      else settled := true
+    end
+  done;
+  a.(lo + !i) <- v
+
+let heap_sort (a : int array) lo hi =
+  let n = hi - lo in
+  for root = (n / 2) - 1 downto 0 do
+    sift_down a lo root n
+  done;
+  for len = n - 1 downto 1 do
+    swap a lo (lo + len);
+    sift_down a lo 0 len
+  done
+
+let rec log2 m = if m <= 1 then 0 else 1 + log2 (m / 2)
+
+let rec intro_sort (a : int array) lo hi depth =
+  if hi - lo < 16 then insertion_sort a lo hi
+  else if depth = 0 then heap_sort a lo hi
+  else begin
+    let mid = lo + ((hi - lo) / 2) in
+    if a.(mid) < a.(lo) then swap a mid lo;
+    if a.(hi - 1) < a.(lo) then swap a (hi - 1) lo;
+    if a.(hi - 1) < a.(mid) then swap a (hi - 1) mid;
+    (* a.(lo) <= p <= a.(hi - 1) bound both scans *)
+    let p = a.(mid) and i = ref lo and j = ref (hi - 1) in
+    while !i <= !j do
+      while a.(!i) < p do incr i done;
+      while a.(!j) > p do decr j done;
+      if !i <= !j then begin
+        swap a !i !j;
+        incr i;
+        decr j
+      end
+    done;
+    intro_sort a lo (!j + 1) (depth - 1);
+    intro_sort a !i hi (depth - 1)
+  end
+
+let order_by n key =
+  let order = Array.make n 0 in
+  let lo = ref max_int and hi = ref min_int in
+  for i = 0 to n - 1 do
+    let k = key i in
+    order.(i) <- k;
+    if k < !lo then lo := k;
+    if k > !hi then hi := k
+  done;
+  (* a span past max_int wraps negative *)
+  let span = !hi - !lo in
+  if n = 0 || (span >= 0 && span <= (max_int - (n - 1)) / n) then begin
+    (* (key - min) * n + i: distinct, ordered by (key, index) *)
+    let lo = !lo in
+    for i = 0 to n - 1 do
+      order.(i) <- ((order.(i) - lo) * n) + i
+    done;
+    intro_sort order 0 n (2 * log2 n);
+    for i = 0 to n - 1 do
+      order.(i) <- order.(i) mod n
+    done;
+    order
+  end
+  else begin
+    (* keys too far apart to pack: sort indices by comparison *)
+    let keys = Array.copy order in
+    for i = 0 to n - 1 do
+      order.(i) <- i
+    done;
+    Array.sort
+      (fun i j ->
+        let c = Int.compare keys.(i) keys.(j) in
+        if c <> 0 then c else Int.compare i j)
+      order;
+    order
+  end
+
 (* Plane sweep over closed boxes: report every pair within Chebyshev
    distance [halo] of each other (touching counts; [halo = 0] reports
    exactly the overlapping-or-abutting pairs).  Boxes enter the active
@@ -44,16 +154,8 @@ let sweep_pairs ?(halo = 0) (boxes : Box.t array) f =
   let n = Array.length boxes in
   if n > 1 then begin
     let ymin i = boxes.(i).Box.ymin and exit i = boxes.(i).Box.xmax + halo in
-    let by key =
-      let order = Array.init n Fun.id in
-      Array.sort
-        (fun i j ->
-          let c = Int.compare (key i) (key j) in
-          if c <> 0 then c else Int.compare i j)
-        order;
-      order
-    in
-    let entries = by (fun i -> boxes.(i).Box.xmin) and exits = by exit in
+    let entries = order_by n (fun i -> boxes.(i).Box.xmin)
+    and exits = order_by n exit in
     let active = Array.make n 0 and n_active = ref 0 in
     (* the first active position not ordered before box [j] *)
     let seek j =
@@ -241,12 +343,7 @@ let generate ?(stretchable = fun _ -> false) rules method_ items =
           ~gap:(max (Rules.min_width rules it.layer) 1)
       else Cgraph.add_eq g ~from:left.(i) ~to_:right.(i) ~gap:w)
     items;
-  let order = Array.init n Fun.id in
-  Array.sort
-    (fun i j ->
-      let c = Int.compare items.(i).box.Box.xmin items.(j).box.Box.xmin in
-      if c <> 0 then c else Int.compare i j)
-    order;
+  let order = order_by n (fun i -> items.(i).box.Box.xmin) in
   let at f = Array.map f order in
   let box_at f = at (fun i -> f items.(i).box) in
   let net =

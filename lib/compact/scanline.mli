@@ -40,6 +40,18 @@ type gen = {
   items : item array;
 }
 
+val order_by : int -> (int -> int) -> int array
+(** [order_by n key] is [0 .. n - 1] ordered by ([key i], [i]): the
+    order of every (key, index) sort in the plane sweeps.  [key] is
+    called once per index.  Each index is packed with its key as
+    [(key i - min) * n + i] and the packed ints are sorted in place by
+    an int-specialised introsort (median-of-three quicksort, insertion
+    sort below 16 elements, heap sort past [2 log n] levels), so no
+    comparison closure runs and nothing is allocated beyond the
+    returned array.  Keys spread too far to pack ([(max - min) * n]
+    past [max_int]) fall back to a comparison sort with the same
+    result. *)
+
 val sweep_pairs : ?halo:int -> Box.t array -> (int -> int -> unit) -> unit
 (** Plane sweep reporting every pair of boxes within Chebyshev
     distance [halo] (default 0: overlapping or abutting closed boxes).

@@ -378,6 +378,65 @@ let clean r = r.r_violations = []
 module Cell = Rsg_layout.Cell
 module Flatten = Rsg_layout.Flatten
 
+(* Context keys: int arrays whose element 0 holds how many elements
+   follow, so a key can be built in a longer reused buffer and looked
+   up as it stands; only a key that founds a class is copied. *)
+module Context = Hashtbl.Make (struct
+  type t = int array
+
+  let equal (a : t) (b : t) =
+    let n = a.(0) in
+    n = b.(0)
+    &&
+    let i = ref 1 in
+    while !i <= n && a.(!i) = b.(!i) do
+      incr i
+    done;
+    !i > n
+
+  (* every element counts: the polymorphic hash reads only the first
+     few, so keys that differ late would collide *)
+  let hash (a : t) =
+    let h = ref 0 in
+    for i = 0 to a.(0) do
+      h := (!h * 65599) + a.(i)
+    done;
+    Hashtbl.hash !h
+end)
+
+(* lexicographic order of the [w]-int records at [i] and [j] of [a] *)
+let compare_records (a : int array) i j w =
+  let c = ref 0 and k = ref 0 in
+  while !c = 0 && !k < w do
+    c := Int.compare a.(i + !k) a.(j + !k);
+    incr k
+  done;
+  !c
+
+(* sort the [count] records of [w] ints starting at [a.(base)]: in
+   place for the few neighbours an instance usually has, through a
+   permutation beyond *)
+let sort_records (a : int array) base count w =
+  let at r = base + (r * w) in
+  if count <= 16 then
+    for r = 1 to count - 1 do
+      let q = ref r in
+      while !q > 0 && compare_records a (at (!q - 1)) (at !q) w > 0 do
+        for k = at (!q - 1) to at !q - 1 do
+          let t = a.(k) in
+          a.(k) <- a.(k + w);
+          a.(k + w) <- t
+        done;
+        decr q
+      done
+    done
+  else begin
+    let perm = Array.init count Fun.id in
+    Array.sort (fun p q -> compare_records a (at p) (at q) w) perm;
+    let copy = Array.sub a base (count * w) in
+    Array.iteri (fun r p -> Array.blit copy (p * w) a (at r) w) perm
+  end
+
 type cached_level = {
   cl_violations : (violation * int) list;
   cl_contexts : int;
@@ -488,6 +547,9 @@ let check_protos ?(deck = Deck.default) ?domains ?(cached = fun _ -> None)
   let flats = Array.map (fun c -> lazy (Flatten.proto_flat protos c)) order in
   let bboxes = Array.map (Flatten.cell_bbox protos) order in
   let hexes = Array.map (Flatten.subtree_hex protos) order in
+  (* congruent celltypes share one canonical index, as they share a
+     subtree hex *)
+  let canon = Flatten.representatives protos in
   let idx_of = Flatten.proto_index protos in
   let placements = Flatten.placements protos in
   (* boundary bands: a prototype's boxes within [margin] of its bbox
@@ -569,50 +631,61 @@ let check_protos ?(deck = Deck.default) ?domains ?(cached = fun _ -> None)
           nbrs.(b) <- a :: nbrs.(b));
       (* group instances by congruent context: same child subtree,
          orientation, neighbour pattern and nearby own geometry, all
-         relative to the point of call *)
-      let classes : (string, int ref) Hashtbl.t = Hashtbl.create 32 in
+         relative to the point of call.  The key holds the child's
+         canonical index and orientation, the neighbour count, each
+         neighbour's (dx, dy, canonical index, orientation) sorted,
+         then each own box touching the window as (layer, box
+         relative to the offset) in [own] order. *)
+      let classes = Context.create 32 in
       let reps = ref [] in
+      let key = ref (Array.make 64 0) in
+      let n_own = List.length own in
       for k = 0 to n_inst - 1 do
         let j, orient, off, bb = insts.(k) in
         let w = Box.inflate margin bb in
-        let buf = Buffer.create 256 in
-        Buffer.add_string buf hexes.(j);
-        Buffer.add_char buf '@';
-        Buffer.add_string buf (string_of_int (Orient.to_index orient));
+        let ox = off.Rsg_geom.Vec.x and oy = off.Rsg_geom.Vec.y in
+        let nn = List.length nbrs.(k) in
+        let need = 4 + (4 * nn) + (5 * n_own) in
+        if Array.length !key < need then
+          key := Array.make (max need (2 * Array.length !key)) 0;
+        let a = !key in
+        a.(1) <- canon.(j);
+        a.(2) <- Orient.to_index orient;
+        a.(3) <- nn;
+        let p = ref 4 in
         List.iter
-          (fun (dx, dy, hx, oi) ->
-            Buffer.add_string buf (Printf.sprintf "|%d,%d,%s,%d" dx dy hx oi))
-          (List.sort compare
-             (List.map
-                (fun k' ->
-                  let j', o', off', _ = insts.(k') in
-                  ( off'.Rsg_geom.Vec.x - off.Rsg_geom.Vec.x,
-                    off'.Rsg_geom.Vec.y - off.Rsg_geom.Vec.y,
-                    hexes.(j'),
-                    Orient.to_index o' ))
-                nbrs.(k)));
+          (fun k' ->
+            let j', o', off', _ = insts.(k') in
+            a.(!p) <- off'.Rsg_geom.Vec.x - ox;
+            a.(!p + 1) <- off'.Rsg_geom.Vec.y - oy;
+            a.(!p + 2) <- canon.(j');
+            a.(!p + 3) <- Orient.to_index o';
+            p := !p + 4)
+          nbrs.(k);
+        sort_records a 4 nn 4;
         List.iter
           (fun (l, (b : Box.t)) ->
-            if Box.overlaps w b then
-              Buffer.add_string buf
-                (Printf.sprintf "|o%d:%d,%d,%d,%d" (Layer.to_index l)
-                   (b.Box.xmin - off.Rsg_geom.Vec.x)
-                   (b.Box.ymin - off.Rsg_geom.Vec.y)
-                   (b.Box.xmax - off.Rsg_geom.Vec.x)
-                   (b.Box.ymax - off.Rsg_geom.Vec.y)))
+            if Box.overlaps w b then begin
+              a.(!p) <- Layer.to_index l;
+              a.(!p + 1) <- b.Box.xmin - ox;
+              a.(!p + 2) <- b.Box.ymin - oy;
+              a.(!p + 3) <- b.Box.xmax - ox;
+              a.(!p + 4) <- b.Box.ymax - oy;
+              p := !p + 5
+            end)
           own;
-        let sg = Digest.string (Buffer.contents buf) in
-        match Hashtbl.find_opt classes sg with
+        a.(0) <- !p - 1;
+        match Context.find_opt classes a with
         | Some r -> incr r
         | None ->
           let r = ref 1 in
-          Hashtbl.add classes sg r;
-          reps := (sg, k) :: !reps
+          Context.add classes (Array.sub a 0 !p) r;
+          reps := (r, k) :: !reps
       done;
       List.iter
-        (fun (sg, k) ->
+        (fun (r, k) ->
           incr distinct;
-          let count = !(Hashtbl.find classes sg) in
+          let count = !r in
           let j, orient, off, bb = insts.(k) in
           let w = Box.inflate margin bb in
           let acc = ref [] in

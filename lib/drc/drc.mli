@@ -84,8 +84,21 @@ val clean : report -> bool
       geometry) are checked once and multiplied;
     - own geometry away from every child is checked directly.
 
-    Work is O(distinct prototypes x distinct contexts), independent of
-    the instance count, and level results are reusable across runs:
+    Congruence is decided by an integer context key per instance:
+    the child's canonical index (one per distinct subtree hash, so
+    congruent celltypes share it), its orientation index, the
+    neighbour count, each neighbour's (dx, dy, canonical index,
+    orientation) in sorted order, then each own box that touches the
+    window as (layer index and four coordinates relative to the
+    instance offset) in the cell's box order.  Keys are built in one
+    reused buffer and hashed over every element; only a key that
+    founds a new class is copied.  Grouping therefore costs
+    O(neighbours + own boxes) per instance, with no string or digest
+    built, and the geometric checks run once per distinct context.
+
+    Work is O(distinct prototypes x distinct contexts) in window
+    checks, plus that grouping pass over the instances, and level
+    results are reusable across runs:
     a level keyed by (subtree hash, deck digest) is valid as long as
     neither changes — the [cached] hook is how {!Rsg_store.Store}
     entries short-circuit re-checks of clean subtrees.

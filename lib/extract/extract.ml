@@ -58,13 +58,14 @@ let gate_regions ?domains (items : Scanline.item array) nets =
     Array.of_list !buf
   in
   let polys = layer_indices Layer.Poly in
-  let diffs = layer_indices Layer.Diffusion in
-  Array.sort
-    (fun i j ->
-      compare
-        (items.(i).Scanline.box.Box.xmin, i)
-        (items.(j).Scanline.box.Box.xmin, j))
-    diffs;
+  let diffs =
+    (* ascending item indices, so (xmin, position) is (xmin, item) *)
+    let unsorted = layer_indices Layer.Diffusion in
+    Array.map
+      (fun k -> unsorted.(k))
+      (Scanline.order_by (Array.length unsorted) (fun k ->
+           items.(unsorted.(k)).Scanline.box.Box.xmin))
+  in
   let diff_xmins =
     Array.map (fun j -> items.(j).Scanline.box.Box.xmin) diffs
   in

@@ -29,26 +29,35 @@ let rec tree_of ?(count = 1) (cell : Cell.t) =
   in
   { t_name = cell.Cell.cname; t_count = count; t_children = children }
 
+(* Per-layer usage without geometry: each distinct celltype's own
+   boxes, weighted by how often the design places it.  Orientation and
+   offset keep a box's area, so the sums equal the flat's. *)
 let of_cell cell =
   let protos = Flatten.prototypes cell in
-  let flat = Flatten.protos_flat protos in
   let stats = Flatten.protos_stats protos in
-  let usage : (int, int * int) Hashtbl.t = Hashtbl.create 8 in
-  Array.iter
-    (fun (layer, box) ->
-      let k = Layer.to_index layer in
-      let boxes, area =
-        Option.value ~default:(0, 0) (Hashtbl.find_opt usage k)
-      in
-      Hashtbl.replace usage k (boxes + 1, area + Box.area box))
-    flat.Flatten.flat_boxes;
+  let placed = Flatten.placements protos in
+  let n = List.length Layer.all in
+  let boxes = Array.make n 0 and area = Array.make n 0 in
+  List.iteri
+    (fun i c ->
+      let k = placed.(i) in
+      List.iter
+        (fun (layer, box) ->
+          let l = Layer.to_index layer in
+          boxes.(l) <- boxes.(l) + k;
+          area.(l) <- area.(l) + (k * Box.area box))
+        (Cell.boxes c))
+    (Flatten.protos_order protos);
   let layers =
-    Hashtbl.fold
-      (fun k (boxes, area) acc ->
-        { lu_layer = Layer.of_index_exn k; lu_boxes = boxes; lu_area = area }
-        :: acc)
-      usage []
-    |> List.sort (fun a b -> Layer.compare a.lu_layer b.lu_layer)
+    List.filter_map
+      (fun l ->
+        if boxes.(l) = 0 then None
+        else
+          Some
+            { lu_layer = Layer.of_index_exn l;
+              lu_boxes = boxes.(l);
+              lu_area = area.(l) })
+      (List.init n Fun.id)
   in
   { r_cell = cell.Cell.cname;
     r_bbox = stats.Flatten.bbox;

@@ -89,11 +89,16 @@ let job_of lineno name kind assoc =
                | _ -> None)
       in
       if rows = [] then fail lineno "pla has no rows";
+      (* a bad row is a parse error here, never a failed job later *)
+      let tt =
+        match Rsg_pla.Truth_table.of_strings rows with
+        | tt -> tt
+        | exception Rsg_pla.Truth_table.Malformed msg -> fail lineno msg
+      in
       ( "builtin:pla\n" ^ Rsg_pla.Pla_design_file.text,
         Printf.sprintf "fold=%b\n%s" fold rows_text,
         Printf.sprintf "pla %s" name,
         fun () ->
-          let tt = Rsg_pla.Truth_table.of_strings rows in
           if fold then (Rsg_pla.Folding.generate tt).Rsg_pla.Folding.cell
           else (Rsg_pla.Gen.generate tt).Rsg_pla.Gen.cell )
     | "rom" ->
@@ -113,6 +118,18 @@ let job_of lineno name kind assoc =
       in
       if words = [] then fail lineno "rom has no words";
       let word_bits = geti "word-bits" 8 in
+      (* the checks Rom.generate makes, so a bad ROM fails to parse *)
+      let n_words = List.length words in
+      if n_words < 2 || n_words land (n_words - 1) <> 0 then
+        fail lineno "rom needs a power-of-two number of words, at least 2";
+      if word_bits < 1 || word_bits > 62 then
+        fail lineno "word-bits must be in 1..62";
+      List.iter
+        (fun w ->
+          if w < 0 || w >= 1 lsl word_bits then
+            fail lineno
+              (Printf.sprintf "word %d does not fit in %d bits" w word_bits))
+        words;
       ( "builtin:rom",
         Printf.sprintf "word_bits=%d\n%s" word_bits
           (String.concat "\n" (List.map string_of_int words)),

@@ -23,8 +23,10 @@
 val parse_line : int -> string -> (Rsg_store.Batch.job option, string) result
 (** Parse one manifest line (1-based [lineno] for error messages).
     [Ok None] for blank or comment-only lines.  File references
-    ([table=], [data=]) are read eagerly so unreadable files are
-    parse errors, not generation-time surprises. *)
+    ([table=], [data=]) are read eagerly, a PLA's truth table is
+    built and a ROM's word count and words are checked, so unreadable
+    files, bad rows and words that do not fit are parse errors, not
+    generation-time surprises. *)
 
 val parse_manifest : string -> (Rsg_store.Batch.job list, string) result
 (** Parse a whole manifest (any number of lines).  Rejects an empty

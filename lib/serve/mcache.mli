@@ -40,7 +40,9 @@ val find : t -> drc:bool -> string -> entry option
     is a miss. *)
 
 val add : t -> string -> entry -> unit
-(** Insert (or refresh) an entry, evicting LRU entries as needed. *)
+(** Insert (or refresh) an entry, evicting LRU entries as needed.
+    Entries sit on a recency list, so a hit and each eviction cost
+    O(1) whatever the number of entries. *)
 
 val stats : t -> int * int
 (** [(entries, bytes)] currently resident. *)

@@ -300,15 +300,25 @@ let reference_sweep ~halo (boxes : Box.t array) =
     order;
   List.rev !out
 
+(* Boxes around an origin that may sit at +-2^40, on a field dense
+   (30) or sparse (300) for its count, with one box in ten thrown a
+   further 2^40 away, so sort keys span far past the field. *)
 let prop_sweep_matches_reference =
+  let far = 1 lsl 40 in
   let gen =
     QCheck.make
       QCheck.Gen.(
-        let* halo = int_range (-2) 4 and* n = int_range 0 40 in
+        let* halo = int_range (-2) 4 and* n = int_range 0 300 in
+        let* field = oneofl [ 30; 300 ]
+        and* origin = oneofl [ 0; -150; far; -far ] in
         let* boxes =
           list_size (return n)
-            (let* x = int_range 0 30 and* y = int_range 0 30 in
+            (let* x = int_range 0 field and* y = int_range 0 field in
              let* w = int_range 0 8 and* h = int_range 0 8 in
+             let* throw = int_range 0 19 in
+             let x =
+               origin + x + (match throw with 0 -> far | 1 -> -far | _ -> 0)
+             and y = origin + y in
              return (box x y (x + w) (y + h)))
         in
         return (halo, Array.of_list boxes))
@@ -319,6 +329,36 @@ let prop_sweep_matches_reference =
          let got = ref [] in
          Scanline.sweep_pairs ~halo boxes (fun j i -> got := (j, i) :: !got);
          List.rev !got = reference_sweep ~halo boxes))
+
+(* [order_by] against a stable sort on the key alone.  Keys cover
+   duplicates, negatives, spans right at and past the packing limit
+   (max - min) * n + n - 1 <= max_int (the comparison fallback), and
+   counts on both sides of the insertion-sort cutoff. *)
+let prop_order_by_matches_stable_sort =
+  let gen =
+    QCheck.make
+      ~print:QCheck.Print.(array int)
+      QCheck.Gen.(
+        let* n = int_range 0 300 in
+        let limit = (max_int - (n - 1)) / max n 1 in
+        let* key =
+          oneofl
+            [ int_range (-5) 5;
+              int_range (-1_000_000) 1_000_000;
+              oneofl [ 0; limit ];
+              oneofl [ -1; limit ];
+              oneofl [ min_int; -1; 0; max_int ] ]
+        in
+        array_size (return n) key)
+  in
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~count:500 ~name:"order_by is a stable sort by key" gen
+       (fun keys ->
+         let n = Array.length keys in
+         Array.to_list (Scanline.order_by n (fun i -> keys.(i)))
+         = List.stable_sort
+             (fun i j -> Int.compare keys.(i) keys.(j))
+             (List.init n Fun.id)))
 
 (* ------------------------------------------------------------------ *)
 (* Constraint generation                                              *)
@@ -1098,6 +1138,7 @@ let () =
          Alcotest.test_case "checker" `Quick test_checker_finds_violations;
          Alcotest.test_case "legal output" `Quick test_compaction_is_legal;
          Alcotest.test_case "stretchable bus" `Quick test_stretchable_bus;
+         prop_order_by_matches_stable_sort;
          prop_sweep_matches_reference ]);
       ("slack",
        [ Alcotest.test_case "leftmost worsens jogs (fig 6.8)" `Quick

@@ -417,6 +417,61 @@ let test_hier_domains_identical () =
         [ 2; 3 ])
     (mutated_families () @ Lazy.force generated)
 
+(* Whole hierarchical reports pinned by digest: context grouping,
+   representative choice, per-class counts, boxes checked and every
+   violation's order.  Marshal without sharing, so only the value is
+   hashed, never how the checker happened to share its parts. *)
+let random_pla seed ~ins ~outs ~terms =
+  let st = Random.State.make [| seed |] in
+  let row () =
+    ( String.init ins (fun _ -> "01-".[Random.State.int st 3]),
+      String.init outs (fun _ -> "01".[Random.State.int st 2]) )
+  in
+  let tt = Rsg_pla.Truth_table.of_strings (List.init terms (fun _ -> row ())) in
+  (Rsg_pla.Gen.generate tt).Rsg_pla.Gen.cell
+
+let golden_hier =
+  let mult4 () =
+    (Rsg_mult.Layout_gen.generate ~xsize:4 ~ysize:4 ()).Rsg_mult.Layout_gen.whole
+  and builtin name () = List.assoc name (Lazy.force generated)
+  and mutant name () = List.assoc name (mutated_families ()) in
+  [ ("pla", "8ec6df09ba51444b1bcede894ed374d3", builtin "pla");
+    ( "decoder",
+      "477c171b944891cb4431dea0fd46219e",
+      fun () -> (Rsg_pla.Gen.generate_decoder 3).Rsg_pla.Gen.cell );
+    ("ram", "5a5156823cfce1c249ff163fbe3f6de4", builtin "ram");
+    ("mult4", "ed09a9fff2c8c1212418a073782d93a9", mult4);
+    ("pla mutant", "01c25f64b48a5b64196d732b0e83c5a0", mutant "pla");
+    ("mult4 mutant", "69e919dc948ccde6767f16e590a09840", mutant "mult4");
+    ( "random pla 6x4x10",
+      "1dc633421755ab49c1409c2354c8ae3e",
+      fun () -> random_pla 11 ~ins:6 ~outs:4 ~terms:10 );
+    ( "random pla 10x6x18",
+      "231715ffcc53deb937db373caed5d6d7",
+      fun () -> random_pla 12 ~ins:10 ~outs:6 ~terms:18 );
+    ( "random pla 4x3x7",
+      "0962eddb931be5bebac69e2f2fb820a6",
+      fun () -> random_pla 13 ~ins:4 ~outs:3 ~terms:7 );
+    (* tall enough that an instance has more than 16 neighbours *)
+    ( "random pla 16x8x64",
+      "7c7a70ddf30ce5919acbb99ef67a419f",
+      fun () -> random_pla 14 ~ins:16 ~outs:8 ~terms:64 ) ]
+
+let test_hier_golden () =
+  List.iter
+    (fun (name, expected, cell) ->
+      let protos = Flatten.prototypes (cell ()) in
+      List.iter
+        (fun d ->
+          let r = Drc.check_protos ~domains:d protos in
+          Alcotest.(check string)
+            (Printf.sprintf "%s report digest at %d domains" name d)
+            expected
+            (Digest.to_hex
+               (Digest.string (Marshal.to_string r [ Marshal.No_sharing ]))))
+        [ 1; 2 ])
+    golden_hier
+
 (* ------------------------------------------------------------------ *)
 (* Report rendering                                                   *)
 
@@ -486,5 +541,6 @@ let () =
          Alcotest.test_case "agrees with flat (mutants)" `Quick
            test_hier_agrees_on_mutants;
          Alcotest.test_case "domains identical" `Quick
-           test_hier_domains_identical ]);
+           test_hier_domains_identical;
+         Alcotest.test_case "golden report digests" `Quick test_hier_golden ]);
       ("report", [ Alcotest.test_case "json" `Quick test_json_report ]) ]

@@ -352,6 +352,66 @@ let test_report () =
        > String.length "cell top"
     && String.sub txt 0 8 = "cell top")
 
+(* The report sums each celltype's own boxes by placement count; the
+   flat walk must give the same box count and area on every layer. *)
+let flat_usage cell =
+  let f = Flatten.flatten cell in
+  List.filter_map
+    (fun layer ->
+      let on =
+        List.filter
+          (fun (l, _) -> Layer.equal l layer)
+          (Array.to_list f.Flatten.flat_boxes)
+      in
+      if on = [] then None
+      else
+        Some
+          ( Layer.to_index layer,
+            List.length on,
+            List.fold_left (fun a (_, b) -> a + Box.area b) 0 on ))
+    Layer.all
+
+let report_usage cell =
+  List.map
+    (fun u ->
+      (Layer.to_index u.Report.lu_layer, u.Report.lu_boxes, u.Report.lu_area))
+    (Report.of_cell cell).Report.r_layers
+
+let test_report_layers_builtins () =
+  let pla =
+    Rsg_pla.Truth_table.of_strings [ ("10-", "10"); ("0-1", "01") ]
+  in
+  List.iter
+    (fun (name, cell) ->
+      Alcotest.(check (list (triple int int int)))
+        (name ^ " layer usage") (flat_usage cell) (report_usage cell))
+    [ ("pla", (Rsg_pla.Gen.generate pla).Rsg_pla.Gen.cell);
+      ("decoder", (Rsg_pla.Gen.generate_decoder 3).Rsg_pla.Gen.cell);
+      ("ram", (Rsg_ram.Ram_gen.generate ~words:8 ~bits:4 ()).Rsg_ram.Ram_gen.cell);
+      ( "multiplier",
+        (Rsg_mult.Layout_gen.generate ~xsize:8 ~ysize:8 ()).Rsg_mult.Layout_gen.whole );
+      ("hierarchy", (fun (_, _, top) -> top) (build_hierarchy ())) ]
+
+let prop_report_layers_random_plas =
+  let gen =
+    QCheck.make
+      QCheck.Gen.(
+        let* ins = int_range 1 6 and* outs = int_range 1 4 in
+        let* terms = int_range 1 10 in
+        list_repeat terms
+          (pair
+             (string_size ~gen:(oneofl [ '0'; '1'; '-' ]) (return ins))
+             (string_size ~gen:(oneofl [ '0'; '1' ]) (return outs))))
+  in
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~count:20 ~name:"report layer usage equals the flat's" gen
+       (fun rows ->
+         let cell =
+           (Rsg_pla.Gen.generate (Rsg_pla.Truth_table.of_strings rows))
+             .Rsg_pla.Gen.cell
+         in
+         flat_usage cell = report_usage cell))
+
 (* ------------------------------------------------------------------ *)
 (* Golden CIF output: guards the writer against format drift.         *)
 
@@ -677,7 +737,11 @@ let () =
          Alcotest.test_case "hierarchy" `Quick test_reorient_hierarchy;
          Alcotest.test_case "shares definitions" `Quick
            test_reorient_shares_definitions ]);
-      ("report", [ Alcotest.test_case "summary" `Quick test_report ]);
+      ("report",
+       [ Alcotest.test_case "summary" `Quick test_report;
+         Alcotest.test_case "layer usage equals the flat's" `Quick
+           test_report_layers_builtins;
+         prop_report_layers_random_plas ]);
       ("prototypes",
        [ Alcotest.test_case "pla" `Quick test_prototypes_pla;
          Alcotest.test_case "decoder" `Quick test_prototypes_decoder;

@@ -176,6 +176,14 @@ let test_jobspec_grammar () =
   expect_err "rom without words" "a rom\n";
   expect_err "pla without rows" "a pla\n";
   expect_err "missing table file" "a pla table=/nonexistent/tt\n";
+  expect_err "rom size not a power of two" "a rom words=1,2,3\n";
+  expect_err "rom word too wide" "a rom words=1,256\n";
+  (* a bad row fails to parse, with its line, instead of failing the
+     job at generation *)
+  (match Jobspec.parse_manifest "m4 multiplier size=4\nx pla rows=4:3\n" with
+  | Ok _ -> Alcotest.fail "bad pla row: accepted"
+  | Error msg ->
+    Alcotest.(check string) "bad pla row" "line 2: bad output character 3" msg);
   (* params have CLI-compatible defaults: a bare decoder is n=3 *)
   match Jobspec.parse_manifest "a decoder\n" with
   | Ok [ j ] ->
@@ -204,6 +212,9 @@ let test_malformed_frames () =
   ignore (raw "missing op" {|{"id":"x","spec":"m multiplier size=4"}|} "bad_request");
   ignore (raw "missing spec" {|{"id":"y","op":"generate"}|} "bad_request");
   ignore (raw "bad spec" {|{"id":"z","op":"generate","spec":"m frob size=4"}|} "bad_request");
+  ignore
+    (raw "bad pla row" {|{"id":"r","op":"generate","spec":"x pla rows=10:3"}|}
+       "bad_request");
   ignore (raw "negative sleep" {|{"id":"s","op":"sleep","ms":-1}|} "bad_request");
   (* after all that abuse, the daemon is healthy on the same connection *)
   health_ok "still alive" c;
@@ -552,6 +563,83 @@ let test_mcache_charge () =
   Alcotest.(check bool) "the newer stays" true
     (Mcache.find m ~drc:true "b" <> None && Mcache.find m ~drc:false "a" = None)
 
+(* Random find/add sequences on small budgets: the cache answers,
+   evicts and charges exactly as a most-recent-first list of
+   (key, entry) pairs that drops its last pair while over budget. *)
+let prop_mcache_reference_lru =
+  let module Obs = Rsg_obs.Obs in
+  let overhead =
+    let m = Mcache.create ~budget_bytes:max_int in
+    Mcache.add m "k" { Mcache.me_cif = ""; me_boxes = 0; me_drc = None };
+    snd (Mcache.stats m)
+  in
+  let charge e = String.length e.Mcache.me_cif + overhead in
+  let counter name = Option.value ~default:0 (List.assoc_opt name (Obs.counters ())) in
+  let op =
+    QCheck.Gen.(
+      frequency
+        [ (1, map2 (fun drc k -> `Find (drc, k)) bool (int_range 0 5));
+          ( 1,
+            map3 (fun k len drc -> `Add (k, len, drc)) (int_range 0 5)
+              (int_range 0 400) bool ) ])
+  in
+  let gen =
+    QCheck.make
+      QCheck.Gen.(pair (int_range 0 (5 * (overhead + 400))) (list_size (int_range 0 60) op))
+  in
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~count:300 ~name:"LRU matches a reference list" gen
+       (fun (budget, ops) ->
+         let was_on = Obs.is_enabled () in
+         Obs.enable ();
+         let counts () =
+           (counter "serve.mem_hit", counter "serve.mem_miss", counter "serve.mem_evict")
+         in
+         let h0, m0, e0 = counts () in
+         let m = Mcache.create ~budget_bytes:budget in
+         let model = ref [] and hits = ref 0 and misses = ref 0 and evictions = ref 0 in
+         let model_bytes () = List.fold_left (fun a (_, e) -> a + charge e) 0 !model in
+         let agree =
+           List.for_all
+             (fun op ->
+               let answered =
+                 match op with
+                 | `Find (drc, k) ->
+                   let key = string_of_int k in
+                   let want =
+                     match List.assoc_opt key !model with
+                     | Some e when not (drc && e.Mcache.me_drc = None) ->
+                       model := (key, e) :: List.remove_assoc key !model;
+                       incr hits;
+                       Some e
+                     | _ ->
+                       incr misses;
+                       None
+                   in
+                   Mcache.find m ~drc key = want
+                 | `Add (k, len, drc) ->
+                   let key = string_of_int k in
+                   let e =
+                     { Mcache.me_cif = String.make len 'x';
+                       me_boxes = len;
+                       me_drc = (if drc then Some (Json.Int k) else None) }
+                   in
+                   model := List.remove_assoc key !model;
+                   while model_bytes () + charge e > budget && !model <> [] do
+                     model := List.rev (List.tl (List.rev !model));
+                     incr evictions
+                   done;
+                   model := (key, e) :: !model;
+                   Mcache.add m key e;
+                   true
+               in
+               answered && Mcache.stats m = (List.length !model, model_bytes ()))
+             ops
+         in
+         let h1, m1, e1 = counts () in
+         if not was_on then Obs.disable ();
+         agree && (h1 - h0, m1 - m0, e1 - e0) = (!hits, !misses, !evictions)))
+
 (* ---- ops ------------------------------------------------------------- *)
 
 (* The compact op answers with exactly a direct Hcompact.hier call's
@@ -884,6 +972,7 @@ let () =
           Alcotest.test_case "mixed drc flags on one leader" `Quick
             test_generate_mixed_flags;
           Alcotest.test_case "entry charge" `Quick test_mcache_charge;
+          prop_mcache_reference_lru;
         ] );
       ( "ops",
         [
