@@ -1787,10 +1787,10 @@ let doctor_cmd =
     Term.(const doctor $ const ())
 
 (* Input errors that escape every command's own handling print their
-   message and exit 1.  [Flatten.Depth_exceeded] is one: a CIF whose
-   symbols chain too deep parses fine and fails at its first flatten,
-   inside whichever pass runs first.  Anything else is a bug, reported
-   as cmdliner reports one. *)
+   message and exit 1: a CIF that does not parse, and one whose symbols
+   chain too deep ([Flatten.Depth_exceeded]), which parses fine and
+   fails at its first flatten, inside whichever pass runs first.
+   Anything else is a bug, reported as cmdliner reports one. *)
 let () =
   let info = Cmd.info "rsg" ~version:"1.0" ~doc:"Regular Structure Generator" in
   let cmd =
@@ -1804,6 +1804,9 @@ let () =
   exit
     (match Cmd.eval ~catch:false cmd with
     | code -> code
+    | exception Cif.Parse_error { line; message } ->
+      Format.eprintf "Cif parse error, line %d: %s@." line message;
+      1
     | exception Flatten.Depth_exceeded { cell; max_depth } ->
       Format.eprintf
         "%s: instances nest deeper than %d levels (an instance cycle?)@." cell

@@ -27,7 +27,3 @@ type t = {
 
 val generate : m:int -> n:int -> t
 (** Compile an m-by-n multiply onto the canonical architecture. *)
-
-val slice_width : int
-
-val slice_height : int

@@ -30,7 +30,7 @@ let expand_box rules b =
   :: List.map (fun cut -> (Layer.Contact_cut, cut)) (cuts_for rules b)
 
 let expand_cell rules cell =
-  let f = Rsg_layout.Flatten.flatten cell in
+  let f = Rsg_layout.Flatten.(protos_flat (prototypes cell)) in
   let out = Rsg_layout.Cell.create (cell.Rsg_layout.Cell.cname ^ "-masks") in
   Array.iter
     (fun (layer, box) ->

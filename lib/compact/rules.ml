@@ -15,6 +15,8 @@ let norm_pair a b = if Layer.compare a b <= 0 then (a, b) else (b, a)
 
 let n_layers = List.length Layer.all
 
+(* Spacings are symmetric; unlisted pairs do not interact.  Unlisted
+   widths default to 1. *)
 let make ~widths ~spacings ~cut_size ~cut_spacing ~cut_overlap =
   let spacings = List.map (fun ((a, b), s) -> (norm_pair a b, s)) spacings in
   let table =

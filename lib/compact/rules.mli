@@ -47,10 +47,3 @@ val cut_spacing : t -> int
 
 val cut_overlap : t -> int
 (** Metal/poly overlap required around the cut field. *)
-
-val make :
-  widths:(Layer.t * int) list ->
-  spacings:((Layer.t * Layer.t) * int) list ->
-  cut_size:int -> cut_spacing:int -> cut_overlap:int -> t
-(** Spacings are symmetric; unlisted pairs do not interact.  Unlisted
-    widths default to 1. *)

@@ -325,7 +325,8 @@ let items_of_flat (f : Rsg_layout.Flatten.flat) =
     (fun (layer, box) -> { layer; box })
     f.Rsg_layout.Flatten.flat_boxes
 
-let items_of_cell cell = items_of_flat (Rsg_layout.Flatten.flatten cell)
+let items_of_cell cell =
+  items_of_flat Rsg_layout.Flatten.(protos_flat (prototypes cell))
 
 let generate ?(stretchable = fun _ -> false) rules method_ items =
   let n = Array.length items in

@@ -71,7 +71,8 @@ val generate :
     sizing.  Every left edge is bounded below by the origin. *)
 
 val items_of_cell : Rsg_layout.Cell.t -> item array
-(** Flatten a cell to scanline items (labels dropped). *)
+(** A cell's prototype flat ({!Rsg_layout.Flatten.protos_flat}) as
+    scanline items (labels dropped). *)
 
 val items_of_flat : Rsg_layout.Flatten.flat -> item array
 (** Already-flattened geometry to scanline items — lets callers feed

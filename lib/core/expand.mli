@@ -129,8 +129,6 @@ val both_readings :
     ambiguity of Figures 3.5/3.6 that directed edges resolve; exposed
     for experiment E16.  [None] if the interface is absent. *)
 
-val pp_defect : Format.formatter -> defect -> unit
-
 val pp_report : Format.formatter -> report -> unit
 (** Human-readable diagnosis: component summary, then every defect
     with its offending edge, transforms and traversal path. *)

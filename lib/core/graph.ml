@@ -86,5 +86,3 @@ let edge_count root = snd (component_size root)
 let is_spanning_tree root =
   let nodes, edges = component_size root in
   edges = nodes - 1
-
-let degree n = List.length n.edges

@@ -40,12 +40,6 @@ val generator : ?first:int -> unit -> generator
     (tests, serialisation) independent of whatever else the process
     has built. *)
 
-val default_generator : generator
-(** The process-wide allocator used when [mk_instance] is called
-    without [?gen].  Never resets, so ids stay unique across every
-    graph built this way — mixing default-generator nodes from
-    different build contexts in one graph is safe. *)
-
 val mk_instance : ?gen:generator -> Cell.t -> node
 (** The [mk_instance] operator (section 4.4.1): a fresh pseudo-instance
     node with empty edge list and blank calling parameters, its id
@@ -77,5 +71,3 @@ val is_spanning_tree : node -> bool
 (** True when the component has exactly [n - 1] edges — the thesis
     notes the graph need only be a spanning tree, cycles being
     redundant (section 3.1). *)
-
-val degree : node -> int

@@ -31,14 +31,6 @@ let spacing t a b =
       | _ -> None)
     t.rules
 
-let widths t =
-  List.filter_map (function Width (l, w) -> Some (l, w) | _ -> None) t.rules
-
-let spacings t =
-  List.filter_map
-    (function Spacing (a, b, s) -> Some (a, b, s) | _ -> None)
-    t.rules
-
 let enclosures t =
   List.filter_map
     (function Enclosure (i, cs, m) -> Some (i, cs, m) | _ -> None)

@@ -46,10 +46,6 @@ val width : t -> Layer.t -> int option
 val spacing : t -> Layer.t -> Layer.t -> int option
 (** Symmetric in the two layers. *)
 
-val widths : t -> (Layer.t * int) list
-
-val spacings : t -> (Layer.t * Layer.t * int) list
-
 val enclosures : t -> (Layer.t * Layer.t list * int) list
 
 val overlaps : t -> (Layer.t * Layer.t * int) list
@@ -83,8 +79,6 @@ val digest : t -> string
 (** Raw 16-byte MD5 of the canonical DSL text — the key under which
     per-prototype check results are cached, so results from a
     different deck are never reused. *)
-
-val pp_rule : Format.formatter -> rule -> unit
 
 val rule_id : rule -> string
 (** Stable identifier, e.g. ["width.metal"], ["spacing.metal.metal"] —

@@ -168,8 +168,6 @@ val hier_violations : hier_report -> int
 
 val pp_hier_report : Format.formatter -> hier_report -> unit
 
-val pp_violation : Format.formatter -> violation -> unit
-
 val pp_report : Format.formatter -> report -> unit
 
 val report_to_json : report -> Rsg_obs.Json.t

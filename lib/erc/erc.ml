@@ -528,7 +528,7 @@ let self_check ?(cfg = default_config) ?(rules = Rules.default) ?domains items
   first (probe_sites items)
 
 let self_check_cell ?cfg ?rules ?domains cell =
-  let f = Flatten.flatten cell in
+  let f = Flatten.protos_flat (Flatten.prototypes cell) in
   self_check ?cfg ?rules ?domains
     (Scanline.items_of_flat f)
     (Array.to_list f.Flatten.flat_labels)

@@ -156,7 +156,7 @@ let of_items ?(rules = Rsg_compact.Rules.default) ?domains items labels =
   { items; nets; n_nets = Hashtbl.length reps; devices; terminals }
 
 let of_cell ?rules ?domains cell =
-  let f = Flatten.flatten cell in
+  let f = Flatten.protos_flat (Flatten.prototypes cell) in
   of_items ?rules ?domains
     (Scanline.items_of_flat f)
     (Array.to_list f.Flatten.flat_labels)
@@ -336,12 +336,10 @@ let mos_of_items ?(rules = Rsg_compact.Rules.default) ?domains items labels =
     mn_terminals;
     mn_unresolved }
 
-let mos_of_flat ?rules ?domains (f : Flatten.flat) =
+let mos_of_cell ?rules ?domains cell =
+  let f = Flatten.protos_flat (Flatten.prototypes cell) in
   mos_of_items ?rules ?domains
     (Scanline.items_of_flat f)
     (Array.to_list f.Flatten.flat_labels)
-
-let mos_of_cell ?rules ?domains cell =
-  mos_of_flat ?rules ?domains (Flatten.flatten cell)
 
 let n_mos mn = Array.length mn.mn_mos

@@ -49,7 +49,8 @@ val of_items :
     ([extract.nets], [extract.devices], [extract.terminals]). *)
 
 val of_cell : ?rules:Rsg_compact.Rules.t -> ?domains:int -> Cell.t -> netlist
-(** Flatten and extract. *)
+(** {!of_items} over the cell's prototype flat
+    ({!Rsg_layout.Flatten.protos_flat}). *)
 
 val n_devices : netlist -> int
 
@@ -100,10 +101,8 @@ val mos_of_items :
     results are identical for every pool size.  Instrumented with the
     [extract.mos] Obs span and counter. *)
 
-val mos_of_flat :
-  ?rules:Rsg_compact.Rules.t -> ?domains:int -> Flatten.flat -> mos_netlist
-
 val mos_of_cell :
   ?rules:Rsg_compact.Rules.t -> ?domains:int -> Cell.t -> mos_netlist
+(** {!mos_of_items} over the cell's prototype flat. *)
 
 val n_mos : mos_netlist -> int

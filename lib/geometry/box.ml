@@ -88,15 +88,5 @@ let subtract a b =
 let equal a b =
   a.xmin = b.xmin && a.ymin = b.ymin && a.xmax = b.xmax && a.ymax = b.ymax
 
-let compare a b =
-  let c = Int.compare a.xmin b.xmin in
-  if c <> 0 then c
-  else
-    let c = Int.compare a.ymin b.ymin in
-    if c <> 0 then c
-    else
-      let c = Int.compare a.xmax b.xmax in
-      if c <> 0 then c else Int.compare a.ymax b.ymax
-
 let pp ppf b =
   Format.fprintf ppf "[%d,%d..%d,%d]" b.xmin b.ymin b.xmax b.ymax

@@ -65,6 +65,4 @@ val distance : t -> t -> int
 
 val equal : t -> t -> bool
 
-val compare : t -> t -> int
-
 val pp : Format.formatter -> t -> unit

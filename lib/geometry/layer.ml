@@ -57,5 +57,3 @@ let of_index_exn i =
   | None -> invalid_arg "Layer.of_index_exn"
 
 let compare a b = Int.compare (to_index a) (to_index b)
-
-let pp ppf l = Format.pp_print_string ppf (name l)

@@ -36,5 +36,3 @@ val to_index : t -> int
 
 val of_index_exn : int -> t
 (** Inverse of {!to_index}; raises [Invalid_argument] out of range. *)
-
-val pp : Format.formatter -> t -> unit

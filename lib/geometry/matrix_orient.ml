@@ -30,5 +30,3 @@ let invert m =
   if det = 1 then { a = m.d; b = -m.b; c = -m.c; d = m.a }
   else if det = -1 then { a = -m.d; b = m.b; c = m.c; d = -m.a }
   else invalid_arg "Matrix_orient.invert: determinant not +-1"
-
-let pp ppf m = Format.fprintf ppf "[%d %d; %d %d]" m.a m.b m.c m.d

@@ -38,5 +38,3 @@ val invert : t -> t
 val apply : t -> Vec.t -> Vec.t
 
 val equal : t -> t -> bool
-
-val pp : Format.formatter -> t -> unit

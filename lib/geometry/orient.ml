@@ -53,10 +53,6 @@ let apply o (v : Vec.t) =
 
 let equal a b = a.rot = b.rot && a.refl = b.refl
 
-let compare a b =
-  let c = Int.compare a.rot b.rot in
-  if c <> 0 then c else Bool.compare a.refl b.refl
-
 let to_index o = o.rot + if o.refl then 4 else 0
 
 let of_index i =

@@ -73,8 +73,6 @@ val apply : t -> Vec.t -> Vec.t
 
 val equal : t -> t -> bool
 
-val compare : t -> t -> int
-
 val to_index : t -> int
 (** Dense index in [0..7]: [rot + (if refl then 4 else 0)]. *)
 

@@ -53,8 +53,6 @@ let var_name = function Simple n -> n | Indexed (n, _) -> n
 
 let rec strip = function At (_, e) -> strip e | e -> e
 
-let line_of = function At (line, _) -> Some line | _ -> None
-
 let rec strip_deep e =
   match e with
   | At (_, inner) -> strip_deep inner

@@ -78,9 +78,4 @@ val strip_deep : expr -> expr
 (** Remove every {!At} wrapper recursively — for structural matching
     in tests and analyses that don't care about locations. *)
 
-val line_of : expr -> int option
-(** Source line of an {!At}-wrapped expression, if known. *)
-
 val pp_expr : Format.formatter -> expr -> unit
-
-val pp_var : Format.formatter -> var -> unit

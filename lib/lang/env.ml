@@ -10,8 +10,6 @@ let rec find (env : Value.env) name =
   | None -> (
     match env.Value.parent with None -> None | Some p -> find p name)
 
-let find_here (env : Value.env) name = Hashtbl.find_opt env.Value.frame name
-
 let define (env : Value.env) name v = Hashtbl.replace env.Value.frame name v
 
 let rec set (env : Value.env) name v =
@@ -20,7 +18,3 @@ let rec set (env : Value.env) name v =
     match env.Value.parent with
     | Some p -> set p name v
     | None -> Hashtbl.replace env.Value.frame name v
-
-let bindings (env : Value.env) =
-  Hashtbl.fold (fun k v acc -> (k, v) :: acc) env.Value.frame []
-  |> List.sort (fun (a, _) (b, _) -> String.compare a b)

@@ -15,15 +15,9 @@ val create_frame : ?size:int -> name:string -> Value.env -> Value.env
 val find : Value.env -> string -> Value.t option
 (** Walk the frame chain. *)
 
-val find_here : Value.env -> string -> Value.t option
-(** This frame only. *)
-
 val define : Value.env -> string -> Value.t -> unit
 (** Bind in this frame (shadowing outer bindings). *)
 
 val set : Value.env -> string -> Value.t -> unit
 (** Assign in the innermost frame that already binds the name, else
     define in this frame. *)
-
-val bindings : Value.env -> (string * Value.t) list
-(** This frame's bindings, sorted by name. *)

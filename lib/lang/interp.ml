@@ -74,6 +74,7 @@ let rec resolve_name st env name depth =
 let resolve_value st env v =
   match v with Value.Vsym s -> resolve_name st env s 0 | _ -> v
 
+(* Follow symbol indirections to a cell definition (Table 4.1). *)
 let resolve_cell st env v =
   match resolve_value st env v with
   | Value.Vcell c -> c
@@ -394,6 +395,8 @@ and eval_declare st env (d : Ast.declare_interface) =
 
 (* ------------------------------------------------------------------ *)
 
+(* Register definitions and evaluate top-level expressions in order;
+   the last expression's value ([Vunit] if none). *)
 let run_program st toplevels =
   List.fold_left
     (fun _ tl ->

@@ -57,16 +57,7 @@ val array2_of_matrix : bool array array -> Value.t
     [a.row.col] 1-based, plus ["rows"]/["cols"] are NOT included —
     pass dimensions as separate parameters. *)
 
-val eval : state -> Value.env -> Ast.expr -> Value.t
-
-val run_program : state -> Ast.toplevel list -> Value.t
-(** Register definitions and evaluate top-level expressions in order;
-    returns the last expression's value ([Vunit] if none). *)
-
 val run_string : state -> string -> Value.t
-
-val resolve_cell : state -> Value.env -> Value.t -> Cell.t
-(** Follow symbol indirections to a cell definition (Table 4.1). *)
 
 val last_created : state -> Cell.t option
 (** Most recent [mk_cell] result — the generated layout. *)

@@ -1,9 +1,7 @@
 exception Syntax_error of string
 
-let fail fmt = Format.kasprintf (fun s -> raise (Syntax_error s)) fmt
-
-(* Prefix syntax errors with the source line when one is known (plain
-   [Sexp.t] input arrives with line 0). *)
+(* Prefix syntax errors with the source line when one is known (line 0
+   means unknown). *)
 let failat line fmt =
   Format.kasprintf
     (fun s ->
@@ -219,20 +217,5 @@ let toplevel_of_located (s : Sexp.located) =
     Ast.Defproc (proc_of_located ~is_macro:true ~line:s.Sexp.line rest)
   | _ -> Ast.Expr (expr_of_located s)
 
-let program_of_located sexps = List.map toplevel_of_located sexps
-
-(* Compatibility entry point for plain (lineless) s-expressions. *)
-let rec locate_plain (s : Sexp.t) : Sexp.located =
-  match s with
-  | Sexp.Atom a -> { Sexp.sx = Sexp.Latom a; line = 0 }
-  | Sexp.Str str -> { Sexp.sx = Sexp.Lstr str; line = 0 }
-  | Sexp.List items -> { Sexp.sx = Sexp.Llist (List.map locate_plain items); line = 0 }
-
-let program_of_sexps sexps = program_of_located (List.map locate_plain sexps)
-
-let parse_program src = program_of_located (Sexp.parse_string_located src)
-
-let parse_expr src =
-  match Sexp.parse_string_located src with
-  | [ s ] -> expr_of_located s
-  | _ -> fail "expected exactly one expression"
+let parse_program src =
+  List.map toplevel_of_located (Sexp.parse_string_located src)

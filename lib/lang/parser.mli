@@ -6,21 +6,12 @@
     expression as its index ([l.(- i 1)], [l. (- i 1)]).
 
     Every list-form expression is wrapped in {!Ast.At} carrying its
-    1-based source line (when parsing from source; the plain
-    [Sexp.t] entry points have no lines and produce bare nodes), and
-    {!Syntax_error} messages are prefixed with ["line N: "] when the
-    offending form's line is known. *)
+    1-based source line, and {!Syntax_error} messages are prefixed
+    with ["line N: "] when the offending form's line is known. *)
 
 exception Syntax_error of string
 
-val program_of_sexps : Sexp.t list -> Ast.toplevel list
-(** Lineless compatibility entry point: no {!Ast.At} wrappers. *)
-
-val program_of_located : Sexp.located list -> Ast.toplevel list
-
 val parse_program : string -> Ast.toplevel list
-(** [parse_program source] = {!Sexp.parse_string_located} then
-    {!program_of_located}; expressions carry {!Ast.At} locations. *)
-
-val parse_expr : string -> Ast.expr
-(** Parse a single expression (for tests and the REPL-ish helpers). *)
+(** [parse_program source] = {!Sexp.parse_string_located}, then each
+    top-level form to the AST; expressions carry {!Ast.At}
+    locations. *)

@@ -88,11 +88,3 @@ let instance_bbox i =
   | None -> None
   | Some b -> Some (Transform.apply_box (transform_of_instance i) b)
 
-let equal_name a b = String.equal a.cname b.cname
-
-let pp ppf c =
-  let nb = List.length (boxes c)
-  and ni = List.length (instances c)
-  and nl = List.length (labels c) in
-  Format.fprintf ppf "<cell %s: %d boxes, %d instances, %d labels>" c.cname nb
-    ni nl

@@ -79,9 +79,3 @@ val bbox : t -> Box.t option
 
 val instance_bbox : instance -> Box.t option
 (** Bounding box of an instance in the calling coordinate system. *)
-
-val equal_name : t -> t -> bool
-(** Cells compare by name (the cell table enforces unique names). *)
-
-val pp : Format.formatter -> t -> unit
-(** One-line summary: name and object counts. *)

@@ -6,20 +6,6 @@ type read_result = { db : Db.t; top : Cell.t option }
 (* Writer                                                             *)
 (* ------------------------------------------------------------------ *)
 
-(* Children-first ordering so every symbol is defined before use. *)
-let ordered_cells root =
-  let seen : (string, unit) Hashtbl.t = Hashtbl.create 16 in
-  let order = ref [] in
-  let rec visit (c : Cell.t) =
-    if not (Hashtbl.mem seen c.Cell.cname) then begin
-      Hashtbl.add seen c.Cell.cname ();
-      List.iter (fun (i : Cell.instance) -> visit i.Cell.def) (Cell.instances c);
-      order := c :: !order
-    end
-  in
-  visit root;
-  List.rev !order
-
 let rot_direction rot =
   (* Image of (1, 0) under R^rot with East = (x,y) -> (y,-x). *)
   match rot land 3 with
@@ -33,12 +19,13 @@ let rot_direction rot =
    allocation-free pass per cell (modulo the buffer growing). *)
 let add_int buf n = Buffer.add_string buf (string_of_int n)
 
-let emit_cell buf ids (c : Cell.t) =
-  let id = Hashtbl.find ids c.Cell.cname in
+(* Symbol ids are postorder positions plus one, so every symbol is
+   defined before its first call. *)
+let emit_cell buf index name (c : Cell.t) =
   Buffer.add_string buf "DS ";
-  add_int buf id;
+  add_int buf (index c + 1);
   Buffer.add_string buf " 1 1;\n9 ";
-  Buffer.add_string buf c.Cell.cname;
+  Buffer.add_string buf name;
   Buffer.add_string buf ";\n";
   let current_layer = ref None in
   List.iter
@@ -71,7 +58,7 @@ let emit_cell buf ids (c : Cell.t) =
         Buffer.add_string buf ";\n"
       | Cell.Obj_instance i ->
         Buffer.add_string buf "C ";
-        add_int buf (Hashtbl.find ids i.Cell.def.Cell.cname);
+        add_int buf (index i.Cell.def + 1);
         if Orient.is_reflection i.Cell.orientation then
           Buffer.add_string buf " MX";
         let dx, dy = rot_direction i.Cell.orientation.Orient.rot in
@@ -93,14 +80,13 @@ let emit_cell buf ids (c : Cell.t) =
   Buffer.add_string buf "DF;\n"
 
 let to_string root =
-  let cells = ordered_cells root in
-  let ids = Hashtbl.create 16 in
-  List.iteri (fun i (c : Cell.t) -> Hashtbl.add ids c.Cell.cname (i + 1)) cells;
+  let cells, index = Flatten.postorder root in
+  let names = Db.unique_names cells in
   let buf = Buffer.create 4096 in
   Buffer.add_string buf "(CIF written by rsg; 1 lambda = 2 units);\n";
-  List.iter (emit_cell buf ids) cells;
+  List.iteri (fun i c -> emit_cell buf index names.(i) c) cells;
   Buffer.add_string buf "C ";
-  add_int buf (Hashtbl.find ids root.Cell.cname);
+  add_int buf (index root + 1);
   Buffer.add_string buf ";\nE\n";
   Buffer.contents buf
 
@@ -114,16 +100,34 @@ let write_file path cell =
 (* Reader                                                             *)
 (* ------------------------------------------------------------------ *)
 
+exception Parse_error of { line : int; message : string }
+
 type token = Tint of int | Tword of string | Tsemi
 
+(* A token as an error message quotes it: escaped, so hostile bytes
+   never reach a terminal, and cut to about 40 bytes. *)
+let excerpt s =
+  let e = String.escaped s in
+  if String.length e <= 40 then e else String.sub e 0 40 ^ "..."
+
+let show = function
+  | Tint v -> string_of_int v
+  | Tword w -> excerpt w
+  | Tsemi -> ";"
+
+(* Tokens paired with the line they start on. *)
 let tokenize s =
   let n = String.length s in
   let toks = ref [] in
-  let i = ref 0 in
+  let i = ref 0 and line = ref 1 in
+  let step () =
+    if s.[!i] = '\n' then incr line;
+    incr i
+  in
   while !i < n do
     let c = s.[!i] in
     if c = ';' then begin
-      toks := Tsemi :: !toks;
+      toks := (Tsemi, !line) :: !toks;
       incr i
     end
     else if c = '(' then begin
@@ -135,10 +139,10 @@ let tokenize s =
         | '(' -> incr depth
         | ')' -> decr depth; if !depth = 0 then continue := false
         | _ -> ());
-        incr i
+        step ()
       done
     end
-    else if c = ' ' || c = '\t' || c = '\n' || c = '\r' then incr i
+    else if c = ' ' || c = '\t' || c = '\n' || c = '\r' then step ()
     else begin
       let start = !i in
       while
@@ -151,41 +155,11 @@ let tokenize s =
       done;
       let w = String.sub s start (!i - start) in
       match int_of_string_opt w with
-      | Some v -> toks := Tint v :: !toks
-      | None -> toks := Tword w :: !toks
+      | Some v -> toks := (Tint v, !line) :: !toks
+      | None -> toks := (Tword w, !line) :: !toks
     end
   done;
   List.rev !toks
-
-let halve what v =
-  if v land 1 <> 0 then failwith ("Cif: odd coordinate in " ^ what) else v asr 1
-
-(* Convert a CIF transformation list (applied in order) back to an
-   instance (orientation, point of call).  We only accept sequences
-   whose combined linear part is one of the eight orientations, which
-   is everything the writer emits and everything rectilinear CIF
-   uses. *)
-let transform_of_ops ops =
-  List.fold_left
-    (fun t op ->
-      let t' =
-        match op with
-        | `T v -> Transform.make v
-        | `MX -> Transform.of_orient Orient.mirror_y
-        | `MY -> Transform.of_orient Orient.mirror_x
-        | `R (dx, dy) ->
-          let rot =
-            match (compare dx 0, compare dy 0) with
-            | 1, 0 -> 0
-            | 0, -1 -> 1
-            | -1, 0 -> 2
-            | 0, 1 -> 3
-            | _ -> failwith "Cif: non-rectilinear rotation"
-          in
-          Transform.of_orient (Orient.make ~rot ~refl:false)
-      in
-      Transform.compose t' t)
-    Transform.identity ops
 
 let of_string s =
   let db = Db.create () in
@@ -193,21 +167,57 @@ let of_string s =
   let top = Cell.create "(top)" in
   let top_used = ref false in
   let toks = ref (tokenize s) in
-  let fail msg = failwith ("Cif parse error: " ^ msg) in
+  let line = ref 1 in
+  let fail message = raise (Parse_error { line = !line; message }) in
   let next () =
     match !toks with
     | [] -> fail "unexpected end of input"
-    | t :: rest ->
+    | (t, l) :: rest ->
       toks := rest;
+      line := l;
       t
   in
   let expect_int what =
-    match next () with Tint v -> v | _ -> fail ("expected integer for " ^ what)
+    match next () with
+    | Tint v -> v
+    | t -> fail ("expected integer for " ^ what ^ ", found " ^ show t)
   in
-  let expect_semi () = match next () with Tsemi -> () | _ -> fail "expected ;" in
+  let expect_semi () =
+    match next () with Tsemi -> () | t -> fail ("expected ;, found " ^ show t)
+  in
   let skip_to_semi () =
     let rec go () = match next () with Tsemi -> () | _ -> go () in
     go ()
+  in
+  let halve what v =
+    if v land 1 <> 0 then fail ("odd coordinate in " ^ what) else v asr 1
+  in
+  (* A CIF transformation list (applied in order) as an instance
+     (orientation, point of call).  Only sequences whose combined
+     linear part is one of the eight orientations are accepted, which
+     is everything the writer emits and everything rectilinear CIF
+     uses. *)
+  let transform_of_ops ops =
+    List.fold_left
+      (fun t op ->
+        let t' =
+          match op with
+          | `T v -> Transform.make v
+          | `MX -> Transform.of_orient Orient.mirror_y
+          | `MY -> Transform.of_orient Orient.mirror_x
+          | `R (dx, dy) ->
+            let rot =
+              match (compare dx 0, compare dy 0) with
+              | 1, 0 -> 0
+              | 0, -1 -> 1
+              | -1, 0 -> 2
+              | 0, 1 -> 3
+              | _ -> fail "non-rectilinear rotation"
+            in
+            Transform.of_orient (Orient.make ~rot ~refl:false)
+        in
+        Transform.compose t' t)
+      Transform.identity ops
   in
   let parse_call () =
     let id = expect_int "call id" in
@@ -225,7 +235,7 @@ let of_string s =
         let dx = expect_int "R dx" and dy = expect_int "R dy" in
         ops := `R (dx, dy) :: !ops;
         loop ()
-      | _ -> fail "bad call transformation"
+      | t -> fail ("bad call transformation " ^ show t)
     in
     loop ();
     let def =
@@ -259,7 +269,9 @@ let of_string s =
         | None -> fail "DF without DS"
         | Some c ->
           Hashtbl.replace by_id !current_id c;
-          Db.add db c;
+          (try Db.add db c
+           with Db.Duplicate_cell name ->
+             fail ("second symbol named " ^ excerpt name));
           current := None)
       | Tint 9 -> (
         match next () with
@@ -271,15 +283,15 @@ let of_string s =
             let renamed = Cell.create name in
             renamed.Cell.objects <- c.Cell.objects;
             current := Some renamed)
-        | _ -> fail "bad symbol name")
+        | t -> fail ("bad symbol name " ^ show t))
       | Tword "L" -> (
         match next () with
         | Tword lname ->
           expect_semi ();
           (match Layer.of_cif_name lname with
           | Some l -> layer := l
-          | None -> fail ("unknown layer " ^ lname))
-        | _ -> fail "bad layer name")
+          | None -> fail ("unknown layer " ^ excerpt lname))
+        | t -> fail ("bad layer name " ^ show t))
       | Tword "B" ->
         let w = expect_int "B w" and h = expect_int "B h" in
         let cx = expect_int "B cx" and cy = expect_int "B cy" in
@@ -288,6 +300,7 @@ let of_string s =
            so 2*xmin = cx - w/2 * ... ; concretely lambda xmin =
            (cx - width) / 2 with width = w/2. *)
         let w = halve "B" w and h = halve "B" h in
+        if w < 0 || h < 0 then fail "negative box size";
         if (cx - w) mod 2 <> 0 || (cy - h) mod 2 <> 0 then
           fail "B center off grid";
         let xmin = (cx - w) / 2 and ymin = (cy - h) / 2 in
@@ -319,7 +332,7 @@ let of_string s =
         (* unknown numeric extension command: skip *)
         skip_to_semi ()
       | Tsemi -> ()
-      | Tword w -> fail ("unknown command " ^ w))
+      | Tword w -> fail ("unknown command " ^ excerpt w))
   done;
   { db; top = (if !top_used then Some top else None) }
 

@@ -32,3 +32,13 @@ let fresh_name db base =
       if mem db candidate then go (i + 1) else candidate
     in
     go 2
+
+let unique_names cells =
+  let taken = create () in
+  Array.of_list
+    (List.map
+       (fun (c : Cell.t) ->
+         let name = fresh_name taken c.cname in
+         Hashtbl.add taken name c;
+         name)
+       cells)

@@ -35,3 +35,10 @@ val length : t -> int
 val fresh_name : t -> string -> string
 (** [fresh_name db base] returns [base] if unused, otherwise
     [base-2], [base-3], ... *)
+
+val unique_names : Cell.t list -> string array
+(** One name per cell of a list of physically distinct cells, in list
+    order: a cell keeps its own name unless an earlier cell of the list
+    took it, and then gets the {!fresh_name} of it ([name-2],
+    [name-3], ...) among the names given so far.  The CIF and DEF
+    writers name the celltypes they write this way. *)

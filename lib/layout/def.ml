@@ -2,30 +2,21 @@ open Rsg_geom
 
 type read_result = { db : Db.t; top : Cell.t option }
 
-let ordered_cells root =
-  let seen : (string, unit) Hashtbl.t = Hashtbl.create 16 in
-  let order = ref [] in
-  let rec visit (c : Cell.t) =
-    if not (Hashtbl.mem seen c.Cell.cname) then begin
-      Hashtbl.add seen c.Cell.cname ();
-      List.iter (fun (i : Cell.instance) -> visit i.Cell.def) (Cell.instances c);
-      order := c :: !order
-    end
-  in
-  visit root;
-  List.rev !order
+exception Parse_error of { line : int; message : string }
 
 let check_name what name =
   if name = "" || String.exists (fun c -> c = ' ' || c = '\n' || c = '\t') name
   then failwith (Printf.sprintf "Def: %s name %S not writable" what name)
 
 let to_string root =
+  let cells, index = Flatten.postorder root in
+  let names = Db.unique_names cells in
   let buf = Buffer.create 4096 in
   Buffer.add_string buf "; rsg def 1\n";
-  List.iter
-    (fun (c : Cell.t) ->
-      check_name "cell" c.Cell.cname;
-      Buffer.add_string buf (Printf.sprintf "cell %s\n" c.Cell.cname);
+  List.iteri
+    (fun k (c : Cell.t) ->
+      check_name "cell" names.(k);
+      Buffer.add_string buf (Printf.sprintf "cell %s\n" names.(k));
       List.iter
         (fun obj ->
           match obj with
@@ -40,13 +31,13 @@ let to_string root =
                  l.Cell.at.Vec.y)
           | Cell.Obj_instance i ->
             Buffer.add_string buf
-              (Printf.sprintf "c %s %d %d %s\n" i.Cell.def.Cell.cname
+              (Printf.sprintf "c %s %d %d %s\n" names.(index i.Cell.def)
                  i.Cell.point_of_call.Vec.x i.Cell.point_of_call.Vec.y
                  (Orient.name i.Cell.orientation)))
         (Cell.objects c);
       Buffer.add_string buf "end\n")
-    (ordered_cells root);
-  Buffer.add_string buf (Printf.sprintf "top %s\n" root.Cell.cname);
+    cells;
+  Buffer.add_string buf (Printf.sprintf "top %s\n" names.(index root));
   Buffer.contents buf
 
 let write_file path cell =
@@ -58,14 +49,18 @@ let write_file path cell =
 let of_string src =
   let db = Db.create () in
   let top = ref None in
-  let current : Cell.t option ref = ref None in
+  let current : Cell.t option ref = ref None and opened = ref 0 in
   let fail line fmt =
-    Format.kasprintf (fun s -> failwith (Printf.sprintf "Def line %d: %s" line s)) fmt
+    Format.kasprintf (fun message -> raise (Parse_error { line; message })) fmt
+  in
+  let excerpt s =
+    let e = String.escaped s in
+    if String.length e <= 40 then e else String.sub e 0 40 ^ "..."
   in
   let int_of line what s =
     match int_of_string_opt s with
     | Some v -> v
-    | None -> fail line "bad integer for %s: %S" what s
+    | None -> fail line "bad integer for %s: %s" what (excerpt s)
   in
   List.iteri
     (fun idx raw ->
@@ -76,11 +71,14 @@ let of_string src =
         match String.split_on_char ' ' s |> List.filter (( <> ) "") with
         | [ "cell"; name ] ->
           if !current <> None then fail line "nested cell";
-          current := Some (Cell.create name)
+          current := Some (Cell.create name);
+          opened := line
         | [ "end" ] -> (
           match !current with
           | Some c ->
-            Db.add db c;
+            (try Db.add db c
+             with Db.Duplicate_cell name ->
+               fail line "second cell named %s" (excerpt name));
             current := None
           | None -> fail line "end without cell")
         | [ "b"; layer; x0; y0; x1; y1 ] -> (
@@ -91,7 +89,7 @@ let of_string src =
                  ~ymin:(int_of line "ymin" y0) ~xmax:(int_of line "xmax" x1)
                  ~ymax:(int_of line "ymax" y1))
           | None, _ -> fail line "box outside cell"
-          | _, None -> fail line "unknown layer %s" layer)
+          | _, None -> fail line "unknown layer %s" (excerpt layer))
         | [ "l"; text; x; y ] -> (
           match !current with
           | Some c ->
@@ -108,15 +106,15 @@ let of_string src =
                 (Cell.add_instance c ~orient:o
                    ~at:(Vec.make (int_of line "x" x) (int_of line "y" y))
                    def)
-            | None, _ -> fail line "call of undefined cell %s" name
-            | _, None -> fail line "bad orientation %s" orient))
+            | None, _ -> fail line "call of undefined cell %s" (excerpt name)
+            | _, None -> fail line "bad orientation %s" (excerpt orient)))
         | [ "top"; name ] -> (
           match Db.find db name with
           | Some c -> top := Some c
-          | None -> fail line "top names undefined cell %s" name)
-        | _ -> fail line "unrecognised line %S" s)
+          | None -> fail line "top names undefined cell %s" (excerpt name))
+        | _ -> fail line "unrecognised line %s" (excerpt s))
     (String.split_on_char '\n' src);
-  if !current <> None then failwith "Def: unterminated cell";
+  if !current <> None then fail !opened "unterminated cell";
   { db; top = !top }
 
 (* read to end of file rather than by length, so pipes work too *)

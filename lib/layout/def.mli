@@ -19,13 +19,25 @@
 
 type read_result = { db : Db.t; top : Cell.t option }
 
+exception Parse_error of { line : int; message : string }
+(** Malformed input: the 1-based line and what is wrong with it.  A
+    token the message quotes is passed through [String.escaped] and cut
+    to about 40 bytes. *)
+
 val to_string : Cell.t -> string
-(** Children-first; a [top] line names the root. *)
+(** One [cell] block per celltype of {!Flatten.postorder}
+    (children first); a [top] line names the root.  Celltypes are told
+    apart by identity, not by name: a later celltype whose name an
+    earlier one already took is written, and called, as [name-2],
+    [name-3], ... ({!Db.unique_names}), as {!Cif.to_string} does.
+    Raises {!Flatten.Depth_exceeded} past 64 levels, as every pass
+    does, and [Failure] for a cell or label name holding a blank. *)
 
 val write_file : string -> Cell.t -> unit
 
 val of_string : string -> read_result
-(** Raises [Failure] with a line number on malformed input.  Cells
-    must be defined before they are called. *)
+(** Raises {!Parse_error} on malformed input, a second cell of the
+    same name included.  Cells must be defined before they are
+    called. *)
 
 val read_file : string -> read_result

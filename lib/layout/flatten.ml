@@ -135,10 +135,10 @@ type proto = {
 type protos = {
   pt_root : Cell.t;
   pt_order : Cell.t list; (* distinct cells, children before parents *)
+  pt_pids : int Idmap.t; (* cell -> postorder index *)
   pt_summaries : summary Idmap.t;
   pt_variants : (int * Orient.t, (Layer.t * Box.t) array) Hashtbl.t;
   mutable pt_protos : proto Idmap.t option; (* memoized, filled on demand *)
-  mutable pt_pids : int Idmap.t option; (* cell -> postorder index *)
   mutable pt_flat : flat option;
   mutable pt_hashes : string Idmap.t option; (* raw subtree digests *)
   pt_seeds :
@@ -147,27 +147,29 @@ type protos = {
          [proto_of] so clean subtrees skip recomposition *)
 }
 
-(* Distinct cells reachable from [root], children before parents.
-   Iterative: the work stack holds (cell, depth, unvisited child defs).
-   Depth along first-discovery paths is checked against [max_depth], so
-   instance cycles fail fast just like the naive traversal. *)
-let postorder ~max_depth root =
+(* Distinct cells reachable from [root], children before parents, each
+   with its postorder index.  Iterative: the work stack holds (cell,
+   depth, unvisited child defs).  Depth along first-discovery paths is
+   checked against [max_depth], so instance cycles fail fast just like
+   the naive traversal. *)
+let walk ~max_depth root =
   let child_defs c =
     List.map (fun (i : Cell.instance) -> i.Cell.def) (Cell.instances c)
   in
-  let done_ : unit Idmap.t = Idmap.create () in
-  let order = ref [] in
+  let index : int Idmap.t = Idmap.create () in
+  let order = ref [] and count = ref 0 in
   let rec go = function
     | [] -> ()
     | (c, _, []) :: stack ->
-      if not (Idmap.mem done_ c) then begin
-        Idmap.add done_ c ();
+      if not (Idmap.mem index c) then begin
+        Idmap.add index c !count;
+        incr count;
         order := c :: !order
       end;
       go stack
     | (c, depth, d :: rest) :: stack ->
       let stack = (c, depth, rest) :: stack in
-      if Idmap.mem done_ d then go stack
+      if Idmap.mem index d then go stack
       else begin
         if depth + 1 > max_depth then
           raise (Depth_exceeded { cell = d.Cell.cname; max_depth });
@@ -175,7 +177,11 @@ let postorder ~max_depth root =
       end
   in
   go [ (root, 0, child_defs root) ];
-  List.rev !order
+  (List.rev !order, index)
+
+let postorder root =
+  let order, index = walk ~max_depth:64 root in
+  (order, Idmap.find index)
 
 (* Per-cell totals without materialising any geometry: a parent's
    summary is its own objects plus its children's summaries, one
@@ -233,13 +239,13 @@ let summarize order =
   summaries
 
 let prototypes ?(max_depth = 64) cell =
-  let order = postorder ~max_depth cell in
+  let order, pids = walk ~max_depth cell in
   { pt_root = cell;
     pt_order = order;
+    pt_pids = pids;
     pt_summaries = summarize order;
     pt_variants = Hashtbl.create 16;
     pt_protos = None;
-    pt_pids = None;
     pt_flat = None;
     pt_hashes = None;
     pt_seeds = Hashtbl.create 16 }
@@ -332,15 +338,6 @@ let variant p (child : proto) orient =
       Hashtbl.add p.pt_variants key a;
       a
 
-let pids_of p =
-  match p.pt_pids with
-  | Some m -> m
-  | None ->
-    let m : int Idmap.t = Idmap.create () in
-    List.iteri (fun idx c -> Idmap.add m c idx) p.pt_order;
-    p.pt_pids <- Some m;
-    m
-
 (* Compose one celltype's prototype arrays, memoized.  Children
    compose first (recursively — depth is bounded by [max_depth]); a
    cell whose subtree digest was seeded adopts the seeded arrays
@@ -360,7 +357,7 @@ let rec proto_of p (c : Cell.t) =
   match Idmap.find_opt flats c with
   | Some pr -> pr
   | None ->
-    let pid = Idmap.find (pids_of p) c in
+    let pid = Idmap.find p.pt_pids c in
     let seeded =
       if Hashtbl.length p.pt_seeds = 0 then None
       else Hashtbl.find_opt p.pt_seeds (Idmap.find (hashes_of p) c)
@@ -415,7 +412,7 @@ let proto_flat p c =
 
 let cell_bbox p c = (Idmap.find p.pt_summaries c).s_bbox
 
-let proto_index p c = Idmap.find (pids_of p) c
+let proto_index p c = Idmap.find p.pt_pids c
 
 (* Parents follow children in postorder, so a downward sweep sees every
    parent's final count before distributing it. *)
@@ -449,8 +446,6 @@ let representatives p =
 
 let cached_map ?domains ~cached ~prepare ~compute p =
   let order = Array.of_list p.pt_order in
-  (* built here, on the calling domain: [compute] may look cells up *)
-  ignore (pids_of p);
   let rep = representatives p in
   let results =
     Array.mapi
@@ -492,3 +487,25 @@ let instance_placements ?(max_depth = 64) cell =
       []
   in
   List.rev acc
+
+(* Each distinct cell's list holds the offsets, in its own coordinates,
+   of every instance named [name] below it: its own calls plus its
+   children's lists moved by each call's transform. *)
+let positions cell name =
+  let order, _ = walk ~max_depth:64 cell in
+  let below : Vec.t list Idmap.t = Idmap.create () in
+  List.iter
+    (fun c ->
+      Idmap.add below c
+        (List.concat_map
+           (fun (i : Cell.instance) ->
+             let t = Cell.transform_of_instance i in
+             let inner =
+               List.map (Transform.apply t) (Idmap.find below i.Cell.def)
+             in
+             if String.equal i.Cell.def.Cell.cname name then
+               t.Transform.offset :: inner
+             else inner)
+           (Cell.instances c)))
+    order;
+  List.sort Vec.compare (Idmap.find below cell)

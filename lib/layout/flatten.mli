@@ -1,23 +1,29 @@
 (** Hierarchical flattening and layout statistics.
 
     Expands a cell's instance hierarchy into absolute-coordinate
-    geometry.  Used by the CIF/DEF writers, by layout verification in
-    the tests, and by the flat-compaction baseline of experiment E10.
+    geometry.  Every pass that walks a hierarchy walks it through this
+    module: {!postorder} lists the distinct celltypes once each,
+    children before parents, and the CIF and DEF writers, the codec's
+    cell table, {!Scale} and {!Reorient} go through it cell by cell.
 
-    Two paths produce identical results:
+    {!prototypes} flattens each {e distinct} celltype once into local
+    coordinates and materialises instances by composing the cached
+    array with each instance transform, memoizing the eight D4
+    orientation variants — O(distinct cells + instances + output
+    boxes) instead of re-walking every subtree, and {!protos_stats}
+    needs no geometry materialisation at all.  On the regular
+    structures this generator emits (thousands of instances of a
+    handful of celltypes) this is the fast path; a shared {!protos}
+    value serves stats, DRC input and extraction in one build.
 
-    - {!flatten} walks the whole instance tree once (iteratively, so
-      depth is bounded only by [max_depth]);
-    - {!prototypes} flattens each {e distinct} celltype once into
-      local coordinates and materialises instances by composing the
-      cached array with each instance transform, memoizing the eight
-      D4 orientation variants — O(distinct cells + instances + output
-      boxes) instead of re-walking every subtree, and {!protos_stats}
-      needs no geometry materialisation at all.  On the regular
-      structures this generator emits (thousands of instances of a
-      handful of celltypes) the cached path is the fast one; a shared
-      {!protos} value serves stats, DRC input and extraction in one
-      build. *)
+    {!flatten} and {!instance_placements} walk the whole instance tree
+    once per instance (iteratively, so depth is bounded only by
+    [max_depth]).  They are the reference walks that the tests and
+    perfbench's oracles compare the prototype path against; no pass
+    composes its geometry through them.
+
+    Every walk raises {!Depth_exceeded} past [max_depth] (default 64)
+    levels. *)
 
 open Rsg_geom
 
@@ -33,9 +39,10 @@ type flat = {
 }
 
 val flatten : ?max_depth:int -> Cell.t -> flat
-(** Fully expand [cell], accumulating boxes, labels and the bounding
-    box in one pass.  [max_depth] (default 64) bounds descent so
-    accidental instance cycles fail fast with {!Depth_exceeded}. *)
+(** Reference walk: fully expand [cell], accumulating boxes, labels
+    and the bounding box in one pass.  [max_depth] (default 64) bounds
+    descent so accidental instance cycles fail fast with
+    {!Depth_exceeded}. *)
 
 val flat_bbox : flat -> Box.t option
 
@@ -47,6 +54,21 @@ type stats = {
   box_area : int;           (** total flattened box area (overlaps counted twice) *)
   bbox : Box.t option;
 }
+
+val postorder : Cell.t -> Cell.t list * (Cell.t -> int)
+(** The distinct celltypes reachable from a cell, children before
+    parents (the cell itself last), each celltype once: cells are
+    identified physically, so two different cells that share a name
+    are both listed.  Children are visited in object order.  The
+    function gives a listed cell's position in the list in O(1) and
+    raises [Not_found] for any other cell.  Iterative; raises
+    {!Depth_exceeded} past 64 levels. *)
+
+val positions : Cell.t -> string -> Vec.t list
+(** [positions cell name]: the absolute offset of every instance, at
+    any level below [cell], of a celltype named [name], sorted by
+    {!Rsg_geom.Vec.compare}.  Composed per distinct celltype along
+    {!postorder}; equal to filtering {!instance_placements}. *)
 
 val stats : ?max_depth:int -> Cell.t -> stats
 (** Computed through the prototype cache: O(distinct cells +
@@ -80,10 +102,9 @@ val distinct_cells : protos -> int
 (** Number of distinct celltypes in the hierarchy (root included). *)
 
 val protos_order : protos -> Cell.t list
-(** The distinct celltypes, children before parents (the root last).
-    This is the postorder every per-prototype artifact — flat arrays,
-    subtree digests, hierarchical DRC levels, the codec's prototype
-    table — is keyed to. *)
+(** The root's {!postorder}.  Every per-prototype artifact — flat
+    arrays, subtree digests, hierarchical DRC levels, the codec's
+    prototype table — is keyed to it. *)
 
 val protos_root : protos -> Cell.t
 
@@ -176,5 +197,5 @@ val seed_proto :
 
 val instance_placements :
   ?max_depth:int -> Cell.t -> (string * Transform.t) list
-(** Absolute placement of every instance at every level, as
-    (cell name, transform) pairs in traversal order. *)
+(** Reference walk: absolute placement of every instance at every
+    level, as (cell name, transform) pairs in traversal order. *)

@@ -9,13 +9,12 @@ let cell ?suffix o root =
     match suffix with Some s -> s | None -> "-" ^ Orient.name o
   in
   let oi = Orient.invert o in
-  let seen : (string, Cell.t) Hashtbl.t = Hashtbl.create 16 in
-  let rec go (c : Cell.t) =
-    match Hashtbl.find_opt seen c.Cell.cname with
-    | Some c' -> c'
-    | None ->
+  let cells, index = Flatten.postorder root in
+  (* children come first, so every call's definition is already built *)
+  let built = Array.make (List.length cells) root in
+  List.iteri
+    (fun k (c : Cell.t) ->
       let c' = Cell.create (c.Cell.cname ^ suffix) in
-      Hashtbl.add seen c.Cell.cname c';
       List.iter
         (fun obj ->
           match obj with
@@ -28,8 +27,8 @@ let cell ?suffix o root =
               (Cell.add_instance c'
                  ~orient:(Orient.compose (Orient.compose o i.Cell.orientation) oi)
                  ~at:(Orient.apply o i.Cell.point_of_call)
-                 (go i.Cell.def)))
+                 built.(index i.Cell.def)))
         (Cell.objects c);
-      c'
-  in
-  go root
+      built.(k) <- c')
+    cells;
+  built.(index root)

@@ -84,8 +84,6 @@ let pp_tree_indent ppf base tree =
   in
   walk tree
 
-let pp_tree ppf tree = pp_tree_indent ppf "" tree
-
 let pp ppf r =
   Format.fprintf ppf "cell %s@." r.r_cell;
   (match r.r_bbox with

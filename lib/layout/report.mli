@@ -33,5 +33,3 @@ val of_cell : Cell.t -> t
 
 val pp : Format.formatter -> t -> unit
 (** Multi-line report: totals, layer table, hierarchy tree. *)
-
-val pp_tree : Format.formatter -> tree -> unit

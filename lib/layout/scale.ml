@@ -26,13 +26,12 @@ let cell ?suffix ~num ?(den = 1) root =
       if den = 1 then Printf.sprintf "-s%d" num
       else Printf.sprintf "-s%dd%d" num den
   in
-  let seen : (string, Cell.t) Hashtbl.t = Hashtbl.create 16 in
-  let rec go (c : Cell.t) =
-    match Hashtbl.find_opt seen c.Cell.cname with
-    | Some c' -> c'
-    | None ->
+  let cells, index = Flatten.postorder root in
+  (* children come first, so every call's definition is already built *)
+  let built = Array.make (List.length cells) root in
+  List.iteri
+    (fun k (c : Cell.t) ->
       let c' = Cell.create (c.Cell.cname ^ suffix) in
-      Hashtbl.add seen c.Cell.cname c';
       List.iter
         (fun obj ->
           match obj with
@@ -43,8 +42,8 @@ let cell ?suffix ~num ?(den = 1) root =
             ignore
               (Cell.add_instance c' ~orient:i.Cell.orientation
                  ~at:(vec ~num ~den i.Cell.point_of_call)
-                 (go i.Cell.def)))
+                 built.(index i.Cell.def)))
         (Cell.objects c);
-      c'
-  in
-  go root
+      built.(k) <- c')
+    cells;
+  built.(index root)

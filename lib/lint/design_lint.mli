@@ -34,9 +34,6 @@ val default_config : config
 val config_of_params : ?cells:string list -> Rsg_lang.Param.t -> config
 (** Environment-known config from a parsed parameter file. *)
 
-val check_program :
-  ?file:string -> config -> Rsg_lang.Ast.toplevel list -> Diag.report
-
 val check_string : ?file:string -> config -> string -> Diag.report
 (** Parse then {!check_program}; parse failures become a single [L100]
     diagnostic instead of an exception. *)

@@ -55,6 +55,7 @@ let all_codes =
 let lookup code =
   List.find_opt (fun (c, _, _, _) -> String.equal c code) all_codes
 
+(* unknown codes count as errors *)
 let severity_of_code code =
   match lookup code with Some (_, s, _, _) -> s | None -> Error
 
@@ -170,12 +171,6 @@ let report ~source ~checked diags =
   Rsg_obs.Obs.count ~n:(List.length r_diags) "lint.diags";
   Rsg_obs.Obs.count ~n:(count Error r_diags) "lint.errors";
   { r_source = source; r_checked = checked; r_diags }
-
-let merge ~source reports =
-  { r_source = source;
-    r_checked = List.fold_left (fun acc r -> acc + r.r_checked) 0 reports;
-    r_diags =
-      List.sort compare_diag (List.concat_map (fun r -> r.r_diags) reports) }
 
 let errors r = List.filter (fun d -> d.severity = Error) r.r_diags
 

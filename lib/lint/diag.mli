@@ -34,17 +34,7 @@ type report = {
   r_diags : t list;    (** sorted: by line, then code, then message *)
 }
 
-val severity_of_code : string -> severity
-(** Severity from the code table; [Error] for unknown codes. *)
-
 val section_of_code : string -> string
-
-val title_of_code : string -> string
-(** Short rule name, e.g. ["unbound-variable"] for L101. *)
-
-val all_codes : (string * severity * string * string) list
-(** The full code table as [(code, severity, title, section)], in code
-    order — the contract documented in README/DESIGN. *)
 
 val make :
   ?severity:severity -> ?file:string -> ?line:int -> ?span:span -> string ->
@@ -84,8 +74,6 @@ val compare_diag : t -> t -> int
 val report : source:string -> checked:int -> t list -> report
 (** Sort diagnostics deterministically and count them under Obs. *)
 
-val merge : source:string -> report list -> report
-
 val errors : report -> t list
 
 val warnings : report -> t list
@@ -96,8 +84,6 @@ val clean : report -> bool
 
 val codes : report -> string list
 (** Distinct diagnostic codes present, sorted. *)
-
-val pp_severity : Format.formatter -> severity -> unit
 
 val pp : Format.formatter -> t -> unit
 (** One line: [file:line: severity CODE message (section)]. *)

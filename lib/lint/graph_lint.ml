@@ -192,5 +192,3 @@ let check ?root ?(source = "graph") tbl (nodes : Graph.node list) =
       (List.sort compare dead);
     Obs.count ~n:!edges_walked "lint.graph.edges";
     Diag.report ~source ~checked:!edges_walked !diags
-
-let check_component ?source tbl root = check ?source tbl (Graph.reachable root)

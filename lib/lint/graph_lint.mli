@@ -39,7 +39,3 @@ val check :
 (** Analyze the given nodes (the universe against which
     root-unreachability is judged).  [root] defaults to the first
     node; [source] labels the report (default ["graph"]). *)
-
-val check_component :
-  ?source:string -> Interface_table.t -> Graph.node -> Diag.report
-(** [check] over [Graph.reachable root] — no L201 possible. *)

@@ -35,8 +35,6 @@ type t = {
 
 let create () = { cells = [||]; n = 0; outs = []; pipelined = false }
 
-let cell_count net = net.n
-
 let get net id =
   if id < 0 || id >= net.n then failwith "Cellnet: dangling signal";
   net.cells.(id)
@@ -92,9 +90,6 @@ let set_output net bus bit s =
   ignore (get net s.src);
   net.outs <- { ob_bus = bus; ob_bit = bit; ob_sig = s; ob_regs = 0 } :: net.outs
 
-let outputs net =
-  List.rev_map (fun ob -> (ob.ob_bus, ob.ob_bit, ob.ob_sig)) net.outs
-
 let adder_count net =
   let k = ref 0 in
   for i = 0 to net.n - 1 do
@@ -124,8 +119,6 @@ let depths net =
     d.(i) <- (if costs_delay cell.kind then base + 1 else base)
   done;
   d
-
-let depth net id = (depths net).(id)
 
 let combinational net =
   net.pipelined <- false;
@@ -239,6 +232,8 @@ let register_table net =
 
 type stimulus = bus:string -> bit:int -> cycle:int -> bool
 
+(* Cycle-accurate evaluation with memoisation; a connection with [r]
+   registers reads its source [r] cycles earlier. *)
 let eval net (stim : stimulus) s ~cycle =
   let memo : (int * port * int, bool) Hashtbl.t = Hashtbl.create 1024 in
   let rec value { src; port } cycle =

@@ -52,18 +52,10 @@ val signal : int -> port -> signal
 val set_output : t -> string -> int -> signal -> unit
 (** Register [signal] as bit [i] of output bus [name]. *)
 
-val outputs : t -> (string * int * signal) list
-
-val cell_count : t -> int
-
 val adder_count : t -> int
 (** Cells that cost a full-adder delay (Adder and Cpa). *)
 
 (* ---- pipelining ---- *)
-
-val depth : t -> int -> int
-(** Combinational full-adder depth of a cell (0 for inputs and
-    constants). *)
 
 val pipeline : t -> beta:int -> unit
 (** Assign stages for at most [beta] adder delays between registers
@@ -106,10 +98,6 @@ val register_table : t -> register_entry list
 type stimulus = bus:string -> bit:int -> cycle:int -> bool
 (** External input streams (total over all cycles, negative
     included). *)
-
-val eval : t -> stimulus -> signal -> cycle:int -> bool
-(** Cycle-accurate evaluation with memoisation; a connection with [r]
-    registers reads its source [r] cycles earlier. *)
 
 val read_output : t -> stimulus -> bus:string -> cycle:int -> int
 (** Assemble an output bus (little-endian) at a cycle. *)

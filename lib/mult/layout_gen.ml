@@ -1,4 +1,3 @@
-open Rsg_geom
 open Rsg_layout
 open Rsg_core
 module Obs = Rsg_obs.Obs
@@ -215,9 +214,3 @@ let generate ?sample ~xsize ~ysize () =
   let whole = Expand.mk_cell ~db tbl whole_name arrayi in
   Obs.count "mult.generated";
   { whole; array_cell; sample }
-
-let mask_positions cell name =
-  Flatten.instance_placements cell
-  |> List.filter_map (fun (n, (t : Transform.t)) ->
-         if String.equal n name then Some t.Transform.offset else None)
-  |> List.sort Vec.compare

@@ -24,11 +24,6 @@ val generate : ?sample:Sample.t -> xsize:int -> ysize:int -> unit -> t
     sample is built unless one is supplied.  The generated cells are
     registered in the sample's cell table under fresh names. *)
 
-val mask_positions : Cell.t -> string -> Rsg_geom.Vec.t list
-(** Absolute positions (sorted) of every flattened instance of a named
-    cell — used to check personalisation against
-    {!Multiplier.cell_type}. *)
-
 val expected_mask_counts : xsize:int -> ysize:int -> (string * int) list
 (** How many instances of each mask/register cell the generator is
     specified to emit, derived from the personalisation rules —

@@ -3,8 +3,6 @@ type cell_type = Type_I | Type_II
 let cell_type ~m ~n ~i ~j =
   if (i = m - 1) <> (j = n - 1) then Type_II else Type_I
 
-let clock_phase ~i = if i mod 2 = 0 then `Phi1 else `Phi2
-
 type t = { m : int; n : int; net : Cellnet.t; beta : int option }
 
 let in_range ~width v = v >= -(1 lsl (width - 1)) && v < 1 lsl (width - 1)

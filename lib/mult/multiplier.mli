@@ -24,10 +24,6 @@ val cell_type : m:int -> n:int -> i:int -> j:int -> cell_type
 (** Personality of carry-save cell (i, j): [Type_II] iff exactly one
     of [i = m-1], [j = n-1] holds. *)
 
-val clock_phase : i:int -> [ `Phi1 | `Phi2 ]
-(** Two-phase clock assignment by column parity, as in the Appendix B
-    design file. *)
-
 type t = {
   m : int;  (** multiplier width (bits of a) *)
   n : int;  (** multiplicand width (bits of b) *)

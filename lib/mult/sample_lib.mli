@@ -51,8 +51,6 @@ val cell_width : int
 
 val cell_height : int
 
-val reg_height : int      (** register cell pitch in a stack *)
-
 val assemblies : unit -> Rsg_layout.Cell.t list
 (** Fresh assembly cells (new cell/instance structures each call). *)
 

@@ -37,12 +37,8 @@ val to_string : t -> string
 val member : string -> t -> t option
 (** Field of an [Obj] ([None] on missing field or non-object). *)
 
-val to_string_opt : t -> string option
-
 val to_int_opt : t -> int option
 (** Accepts [Int], and any [Float] that is exactly integral. *)
-
-val to_bool_opt : t -> bool option
 
 val to_list_opt : t -> t list option
 

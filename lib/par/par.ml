@@ -92,6 +92,7 @@ module Pool = struct
     Mutex.unlock t.mutex;
     n
 
+  (* block until the queue is empty and no task is executing *)
   let wait_idle t =
     Mutex.lock t.mutex;
     while not (Queue.is_empty t.queue && t.running = 0) do

@@ -97,9 +97,6 @@ module Pool : sig
   val pending : t -> int
   (** Tasks queued but not yet started. *)
 
-  val wait_idle : t -> unit
-  (** Block until the queue is empty and no task is executing. *)
-
   val shutdown : t -> unit
   (** Drain: workers finish every queued task, then exit and are
       joined.  Subsequent {!try_submit}s return [false].  Idempotent. *)

@@ -31,8 +31,6 @@ let rows_table (tt : Truth_table.t) =
     tt.Truth_table.terms;
   Array.map List.rev rows
 
-let rows_of (tt : Truth_table.t) i = (rows_table tt).(i)
-
 let disjoint tt i j =
   let rows = rows_table tt in
   List.for_all (fun r -> not (List.mem r rows.(j))) rows.(i)
@@ -275,11 +273,6 @@ let generate ?sample ?name tt = generate_fold ?sample ?name tt (plan tt)
 
 (* ------------------------------------------------------------------ *)
 
-let positions cell name =
-  Flatten.instance_placements cell
-  |> List.filter_map (fun (n, (t : Transform.t)) ->
-         if String.equal n name then Some t.Transform.offset else None)
-
 let read_back t =
   let tt = t.table in
   let f = t.fold in
@@ -312,7 +305,7 @@ let read_back t =
       in
       lits.(r).(owner) <-
         (if col mod 2 = 0 then Truth_table.T else Truth_table.F))
-    (positions t.cell Pla_cells.and_cross);
+    (Flatten.positions t.cell Pla_cells.and_cross);
   let or_x0 = ((2 * nslots) + 1) * sq in
   let outs = Array.make_matrix p (max m 1) false in
   List.iter
@@ -321,7 +314,7 @@ let read_back t =
       if k < 0 || k >= m || pr < 0 || pr >= p then
         failwith "read_back: or crosspoint outside plane";
       outs.(f.row_order.(pr)).(k) <- true)
-    (positions t.cell Pla_cells.or_cross);
+    (Flatten.positions t.cell Pla_cells.or_cross);
   Truth_table.make ~n_inputs:n ~n_outputs:m
     (List.init p (fun r -> { Truth_table.lits = lits.(r); outs = outs.(r) }))
 

@@ -33,10 +33,6 @@ type fold = {
 val plan : Truth_table.t -> fold
 (** Greedy folding plan.  [pairs] is maximal under the greedy order. *)
 
-val rows_of : Truth_table.t -> int -> int list
-(** Product-term rows where input column [i] carries a non-X literal,
-    ascending. *)
-
 val disjoint : Truth_table.t -> int -> int -> bool
 (** Two input columns never participate in the same product term —
     the static precondition for folding them into one slot. *)

@@ -140,11 +140,6 @@ let generate_decoder ?sample ?(name = "decoder") n =
 
 (* --- extraction-based verification --------------------------------- *)
 
-let positions cell name =
-  Flatten.instance_placements cell
-  |> List.filter_map (fun (n, (t : Transform.t)) ->
-         if String.equal n name then Some t.Transform.offset else None)
-
 let read_back t =
   let tt = t.table in
   let n = tt.Truth_table.n_inputs in
@@ -164,9 +159,9 @@ let read_back t =
         failwith "read_back: and crosspoint outside plane";
       let i = c / 2 in
       lits.(r).(i) <- (if c mod 2 = 0 then Truth_table.T else Truth_table.F))
-    (positions t.cell Pla_cells.and_cross);
+    (Flatten.positions t.cell Pla_cells.and_cross);
   let m = tt.Truth_table.n_outputs in
-  let has_or = positions t.cell Pla_cells.or_sq <> [] in
+  let has_or = Flatten.positions t.cell Pla_cells.or_sq <> [] in
   let outs = Array.make_matrix p (max m 1) false in
   if has_or then begin
     (* or plane starts after 2n and columns + the connect-ao column *)
@@ -177,7 +172,7 @@ let read_back t =
         if c < 0 || c >= m || r < 0 || r >= p then
           failwith "read_back: or crosspoint outside plane";
         outs.(r).(c) <- true)
-      (positions t.cell Pla_cells.or_cross)
+      (Flatten.positions t.cell Pla_cells.or_cross)
   end
   else
     (* decoder: row r drives output r *)

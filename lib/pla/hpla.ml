@@ -13,6 +13,7 @@ type comparison = {
 
 let sq = Pla_cells.square
 
+(* the 2x2x2 PLA as one labelled assembly cell *)
 let assembled_sample () =
   (* fresh leaf cells via the minimal assemblies, but assembled here
      into a full 2-input / 2-output / 2-term PLA *)

@@ -10,8 +10,6 @@
     consumed them, and extracts it so the redundancy can be counted
     against the minimal RSG sample of {!Pla_cells}. *)
 
-open Rsg_core
-
 type comparison = {
   hpla_instances : int;       (** instances in the assembled sample *)
   hpla_declarations : int;    (** labelled interface examples *)
@@ -20,11 +18,6 @@ type comparison = {
   rsg_declarations : int;
   rsg_duplicates : int;
 }
-
-val assembled_sample : unit -> Rsg_layout.Cell.t
-(** The 2x2x2 PLA as one labelled assembly cell. *)
-
-val extract : unit -> Sample.t * Sample.declaration list
 
 val compare_samples : unit -> comparison
 

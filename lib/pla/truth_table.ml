@@ -39,8 +39,10 @@ let of_strings rows =
         (fun (ins, outs) ->
           if String.length ins <> n_inputs || String.length outs <> n_outputs
           then raise (Malformed "ragged truth table");
-          { lits = Array.init n_inputs (fun i -> lit_of_char ins.[i]);
-            outs = Array.init n_outputs (fun i -> out_of_char outs.[i]) })
+          (* a record's fields are evaluated right to left: bind the
+             inputs first, so the first bad character is the one named *)
+          let lits = Array.init n_inputs (fun i -> lit_of_char ins.[i]) in
+          { lits; outs = Array.init n_outputs (fun i -> out_of_char outs.[i]) })
         rows
     in
     make ~n_inputs ~n_outputs terms

@@ -21,9 +21,6 @@ val of_strings : (string * string) list -> t
 
 val to_strings : t -> (string * string) list
 
-val eval : t -> bool array -> bool array
-(** Evaluate the two-level AND/OR logic. *)
-
 val eval_int : t -> int -> int
 (** Inputs/outputs packed little-endian. *)
 

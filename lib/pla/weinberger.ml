@@ -229,11 +229,7 @@ let generate ?sample ?(name = "weinberger") prog =
   let cell = Expand.mk_cell ~db tbl cell_name grid.(0).(0) in
   { cell; prog; sample }
 
-let positions cell name =
-  Flatten.instance_placements cell
-  |> List.filter_map (fun (n, (t : Transform.t)) ->
-         if String.equal n name then Some t.Transform.offset else None)
-
+(* the program reconstructed from the crossing and tap masks *)
 let read_back t =
   let prog = t.prog in
   let cols = Array.length prog.gates and rows = n_signals prog in
@@ -251,14 +247,14 @@ let read_back t =
     (fun v ->
       let c, r = grid_of cross_at v in
       inputs.(c) <- r :: inputs.(c))
-    (positions t.cell cross_cell);
+    (Flatten.positions t.cell cross_cell);
   let taps = Array.make cols (-1) in
   List.iter
     (fun v ->
       let c, r = grid_of tap_at v in
       if taps.(c) >= 0 then failwith "Weinberger.read_back: duplicate tap";
       taps.(c) <- r)
-    (positions t.cell tap_cell);
+    (Flatten.positions t.cell tap_cell);
   Array.iteri
     (fun k r ->
       if r <> prog.n_primary + k then

@@ -55,14 +55,9 @@ type t = {
   sample : Sample.t;
 }
 
-val build_sample : unit -> Sample.t * Sample.declaration list
-(** The Weinberger leaf cells and their by-example interfaces. *)
-
 val generate : ?sample:Sample.t -> ?name:string -> program -> t
 
-val read_back : t -> program
-(** Program reconstructed from the crossing/tap masks. *)
-
 val verify : t -> bool
-(** [read_back] reconstructs the program exactly, and the layout's
-    row/column counts match. *)
+(** The program read back from the layout's crossing and tap masks
+    is the original exactly, and the layout's row/column counts
+    match. *)

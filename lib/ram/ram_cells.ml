@@ -86,12 +86,6 @@ let assemblies_with ~cao () =
       ~label:1
       ~at_label:(Vec.make Rsg_pla.Pla_cells.square 10) ]
 
-let assemblies () =
-  (* standalone inspection copy with its own connect-ao *)
-  let pla_sample, _ = Rsg_pla.Pla_cells.build () in
-  let cao = Db.find_exn pla_sample.Sample.db Rsg_pla.Pla_cells.connect_ao in
-  assemblies_with ~cao ()
-
 let build () =
   (* one sample holding both the RAM cells and the PLA/decoder cells;
      the docking assembly must reference the same connect-ao

@@ -18,14 +18,6 @@ val precharge : string (** top of each column *)
 
 val senseamp : string  (** bottom of each column *)
 
-val bit_width : int    (** bit cell pitch, x *)
-
-val bit_height : int   (** bit cell pitch, y *)
-
-val wldrv_width : int
-
-val assemblies : unit -> Rsg_layout.Cell.t list
-
 val build : unit -> Sample.t * Sample.declaration list
 (** RAM cells plus the PLA/decoder cells in one sample (the decoder
     interface needs both). *)

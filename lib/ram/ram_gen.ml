@@ -125,15 +125,8 @@ end
 let structure_counts t = (Flatten.stats t.cell).Flatten.by_cell
 
 let docking_aligned t =
-  let placements = Flatten.instance_placements t.cell in
-  let of_name name =
-    List.filter_map
-      (fun (n, (tr : Transform.t)) ->
-        if String.equal n name then Some tr.Transform.offset else None)
-      placements
-  in
-  let caos = List.sort Vec.compare (of_name Rsg_pla.Pla_cells.connect_ao) in
-  let drivers = List.sort Vec.compare (of_name Ram_cells.wldrv) in
+  let caos = Flatten.positions t.cell Rsg_pla.Pla_cells.connect_ao in
+  let drivers = Flatten.positions t.cell Ram_cells.wldrv in
   List.length caos = List.length drivers
   && List.for_all2
        (fun (c : Vec.t) (d : Vec.t) ->

@@ -247,6 +247,8 @@ let target_cell spec =
   | exception Spec_error msg -> Error msg
   | exception Sys_error msg -> Error msg
   | exception Failure msg -> Error msg
+  | exception Cif.Parse_error { line; message } ->
+    Error (Printf.sprintf "Cif parse error, line %d: %s" line message)
 
 (* ---- builtin lint designs ------------------------------------------ *)
 

@@ -56,8 +56,6 @@ val error_code : error -> string
 (** Stable wire code: [bad_request], [too_large], [queue_full],
     [deadline_expired], [job_failed], [draining]. *)
 
-val error_message : error -> string
-
 type op =
   | Generate of { spec : string; drc : bool; cif : bool; out : string option }
   | Drc of { spec : string }

@@ -232,25 +232,6 @@ let get_orient r what =
 (* Payload                                                            *)
 (* ------------------------------------------------------------------ *)
 
-(* Distinct cells children-before-parents (physical identity, so two
-   same-named cells are kept apart and instance sharing survives the
-   round trip), mirroring the CIF writer's definition-before-use
-   order. *)
-let ordered_cells root =
-  let seen : (Cell.t * int) list ref = ref [] in
-  let order = ref [] and count = ref 0 in
-  let rec visit c =
-    if not (List.mem_assq c !seen) then begin
-      (* reserve the slot only after the children, postorder *)
-      List.iter (fun (i : Cell.instance) -> visit i.Cell.def) (Cell.instances c);
-      seen := (c, !count) :: !seen;
-      incr count;
-      order := c :: !order
-    end
-  in
-  visit root;
-  (List.rev !order, fun c -> List.assq c !seen)
-
 let tag_box = 0
 and tag_label = 1
 and tag_instance = 2
@@ -462,7 +443,9 @@ let encode ?flat ?(protos = [||]) ~label cell =
      cache statistics can stop after it, never touching the (large)
      remainder of the payload *)
   put_protos payload protos;
-  let cells, index_of = ordered_cells cell in
+  (* physical identity: two same-named cells are kept apart and
+     instance sharing survives the round trip *)
+  let cells, index_of = Flatten.postorder cell in
   put_uint payload (List.length cells);
   List.iter (put_cell payload index_of) cells;
   (match flat with

@@ -131,8 +131,12 @@ val proto_table :
 
 val encode : ?flat:Flatten.flat -> ?protos:proto array -> label:string -> Cell.t -> string
 (** Serialise [cell] (and, when given, its prototype table) into a
-    self-contained byte string.  The flat section is written only for
-    a caller that passes [flat], and is never decoded. *)
+    self-contained byte string.  The cell table holds one record per
+    celltype of {!Rsg_layout.Flatten.postorder}, so same-named
+    celltypes are kept apart and instance sharing survives the round
+    trip; it raises {!Rsg_layout.Flatten.Depth_exceeded} past 64
+    levels.  The flat section is written only for a caller that
+    passes [flat], and is never decoded. *)
 
 val decode : string -> entry
 (** Parse and verify a byte string produced by {!encode}.  A flat

@@ -74,9 +74,6 @@ val key :
 
 val key_hex : key -> string
 
-val short : key -> string
-(** First 8 hex digits, for human-facing messages. *)
-
 type lookup =
   | Hit of Codec.entry
   | Miss

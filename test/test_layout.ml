@@ -170,7 +170,29 @@ let test_cif_rejects_garbage () =
     (try
        ignore (Cif.of_string "DS 1 1 1; B 3 3;");
        false
-     with Failure _ -> true)
+     with Cif.Parse_error _ -> true)
+
+(* A parse error names the offending token's line and quotes it
+   escaped and cut short: raw control bytes and terminal escapes never
+   reach the message. *)
+let test_cif_error_excerpt () =
+  let error s =
+    match Cif.of_string s with
+    | _ -> Alcotest.fail "accepted"
+    | exception Cif.Parse_error { line; message } -> (line, message)
+  in
+  let line, message =
+    error "DS 1 1 1;\nL NM;\nB 20 20 10 10;\nDF;\n\x01\xff\x1b[31mZZZ;\nE\n"
+  in
+  Alcotest.(check int) "line" 5 line;
+  Alcotest.(check string) "message" "unknown command \\001\\255\\027[31mZZZ"
+    message;
+  let _, message = error ("DS 1 1 1;\n" ^ String.make 300 'Q' ^ ";\n") in
+  Alcotest.(check bool) "long token cut" true (String.length message < 80);
+  let line, _ = error "DS 1 1 1;\n9 a;\nDF;\nDS 2 1 1;\n9 a;\nDF;\n" in
+  Alcotest.(check int) "second symbol of one name" 6 line;
+  let line, _ = error "DS 1 1 1;\nL NM;\nB -4 4 0 0;\nDF;\n" in
+  Alcotest.(check int) "negative size" 3 line
 
 (* Property: random flat cells round trip through CIF. *)
 let gen_flat_cell =
@@ -244,7 +266,7 @@ let test_def_all_orientations () =
 
 let test_def_errors () =
   let raises s =
-    try ignore (Def.of_string s); false with Failure _ -> true
+    try ignore (Def.of_string s); false with Def.Parse_error _ -> true
   in
   Alcotest.(check bool) "call before definition" true
     (raises "cell a\nc b 0 0 north\nend\n");
@@ -253,7 +275,14 @@ let test_def_errors () =
     (raises "cell a\nb vibranium 0 0 1 1\nend\n");
   Alcotest.(check bool) "bad orientation" true
     (raises "cell a\nend\ncell b\nc a 0 0 sideways\nend\n");
-  Alcotest.(check bool) "unterminated" true (raises "cell a\n")
+  Alcotest.(check bool) "unterminated" true (raises "cell a\n");
+  Alcotest.(check bool) "second cell of one name" true
+    (raises "cell a\nend\ncell a\nend\n");
+  match Def.of_string "cell a\nb metal 0 0 1 \x1b[31m\nend\n" with
+  | _ -> Alcotest.fail "bad integer accepted"
+  | exception Def.Parse_error { line; message } ->
+    Alcotest.(check int) "line" 2 line;
+    Alcotest.(check bool) "escaped" false (String.contains message '\x1b')
 
 let prop_def_roundtrip =
   QCheck_alcotest.to_alcotest
@@ -392,24 +421,26 @@ let test_report_layers_builtins () =
         (Rsg_mult.Layout_gen.generate ~xsize:8 ~ysize:8 ()).Rsg_mult.Layout_gen.whole );
       ("hierarchy", (fun (_, _, top) -> top) (build_hierarchy ())) ]
 
+(* rows of a random PLA truth table: 1..6 inputs, 1..4 outputs, 1..10
+   terms *)
+let gen_pla_rows =
+  QCheck.Gen.(
+    let* ins = int_range 1 6 and* outs = int_range 1 4 in
+    let* terms = int_range 1 10 in
+    list_repeat terms
+      (pair
+         (string_size ~gen:(oneofl [ '0'; '1'; '-' ]) (return ins))
+         (string_size ~gen:(oneofl [ '0'; '1' ]) (return outs))))
+
+let pla_of_rows rows =
+  (Rsg_pla.Gen.generate (Rsg_pla.Truth_table.of_strings rows)).Rsg_pla.Gen.cell
+
 let prop_report_layers_random_plas =
-  let gen =
-    QCheck.make
-      QCheck.Gen.(
-        let* ins = int_range 1 6 and* outs = int_range 1 4 in
-        let* terms = int_range 1 10 in
-        list_repeat terms
-          (pair
-             (string_size ~gen:(oneofl [ '0'; '1'; '-' ]) (return ins))
-             (string_size ~gen:(oneofl [ '0'; '1' ]) (return outs))))
-  in
   QCheck_alcotest.to_alcotest
-    (QCheck.Test.make ~count:20 ~name:"report layer usage equals the flat's" gen
+    (QCheck.Test.make ~count:20 ~name:"report layer usage equals the flat's"
+       (QCheck.make gen_pla_rows)
        (fun rows ->
-         let cell =
-           (Rsg_pla.Gen.generate (Rsg_pla.Truth_table.of_strings rows))
-             .Rsg_pla.Gen.cell
-         in
+         let cell = pla_of_rows rows in
          flat_usage cell = report_usage cell))
 
 (* ------------------------------------------------------------------ *)
@@ -706,6 +737,162 @@ let test_cif_golden_pla () =
   let cell = (Rsg_pla.Gen.generate tt).Rsg_pla.Gen.cell in
   Alcotest.(check string) "pla cif bytes" expected (Cif.to_string cell)
 
+(* ------------------------------------------------------------------ *)
+(* Composed chips: same-named celltypes of different content           *)
+
+(* Blocks generated separately, side by side: every block's celltypes
+   carry the generator's names, so the chip holds physically distinct
+   celltypes under one name. *)
+let chip_of blocks =
+  let chip = Cell.create "chip" in
+  let x = ref 0 in
+  List.iter
+    (fun (b : Cell.t) ->
+      ignore (Cell.add_instance chip ~at:(Vec.make !x 0) b);
+      match Cell.bbox b with
+      | Some bb -> x := !x + Box.width bb + 20
+      | None -> ())
+    blocks;
+  chip
+
+let mult_chip sizes =
+  chip_of
+    (List.map
+       (fun n ->
+         (Rsg_mult.Layout_gen.generate ~xsize:n ~ysize:n ())
+           .Rsg_mult.Layout_gen.whole)
+       sizes)
+
+let n_boxes c = Array.length (Flatten.flatten c).Flatten.flat_boxes
+
+let via_cif c =
+  let r = Cif.of_string (Cif.to_string c) in
+  match r.Cif.top with
+  | Some top -> (List.hd (Cell.instances top)).Cell.def
+  | None -> Alcotest.fail "no top-level call"
+
+let via_def c = Option.get (Def.of_string (Def.to_string c)).Def.top
+
+(* [c]'s flat under [f] equals the flat of the rewritten [c'] *)
+let maps_flat f c c' =
+  List.sort compare
+    (List.map (fun (l, b) -> (Layer.to_index l, f b))
+       (Array.to_list (Flatten.flatten c).Flatten.flat_boxes))
+  = norm_flat (Flatten.flatten c')
+
+(* Every rewrite of a composed chip keeps the chip's whole flat. *)
+let chip_survives chip =
+  Cif.roundtrip_equal chip (via_cif chip)
+  && Cif.roundtrip_equal chip (via_def chip)
+  && maps_flat (Box.transform Orient.south) chip
+       (Reorient.cell Orient.south chip)
+  && maps_flat (Scale.box ~num:2 ~den:1) chip (Scale.cell ~num:2 chip)
+
+let test_chip_roundtrip () =
+  let chip = mult_chip [ 3; 4 ] in
+  Alcotest.(check int) "chip boxes" 966 (n_boxes chip);
+  Alcotest.(check int) "through cif" 966 (n_boxes (via_cif chip));
+  Alcotest.(check int) "through def" 966 (n_boxes (via_def chip));
+  Alcotest.(check int) "reoriented" 966
+    (n_boxes (Reorient.cell Orient.east chip));
+  Alcotest.(check int) "scaled" 966 (n_boxes (Scale.cell ~num:2 chip));
+  Alcotest.(check bool) "every rewrite keeps the flat" true
+    (chip_survives chip)
+
+(* The ten-block chip of sizes 3..12: 201 distinct celltypes under 21
+   names.  The codec's cell table told celltypes apart by identity
+   before it moved onto [Flatten.postorder], so its bytes are pinned. *)
+let test_ten_block_chip () =
+  let chip = mult_chip (List.init 10 (fun k -> k + 3)) in
+  let protos = Flatten.prototypes chip in
+  let order = Flatten.protos_order protos in
+  Alcotest.(check int) "distinct celltypes" 201 (List.length order);
+  Alcotest.(check int) "names" 21
+    (List.length
+       (List.sort_uniq String.compare
+          (List.map (fun (c : Cell.t) -> c.Cell.cname) order)));
+  Alcotest.(check int) "chip boxes" 21860 (n_boxes chip);
+  Alcotest.(check int) "through cif" 21860 (n_boxes (via_cif chip));
+  Alcotest.(check int) "through def" 21860 (n_boxes (via_def chip));
+  let bytes =
+    Rsg_store.Codec.encode
+      ~protos:(Rsg_store.Codec.proto_table protos)
+      ~label:"chip" chip
+  in
+  Alcotest.(check string) "codec bytes" "6eaa5c6f088925582aea697f963fd39c"
+    (Digest.to_hex (Digest.string bytes))
+
+let prop_pla_pair_chip =
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~count:20 ~name:"chips of two random PLAs round trip"
+       (QCheck.make (QCheck.Gen.pair gen_pla_rows gen_pla_rows))
+       (fun (a, b) -> chip_survives (chip_of [ pla_of_rows a; pla_of_rows b ])))
+
+(* ------------------------------------------------------------------ *)
+(* The rerouted entry points agree with the reference walks            *)
+
+let random_pla seed =
+  pla_of_rows
+    (QCheck.Gen.generate1 ~rand:(Random.State.make [| seed |]) gen_pla_rows)
+
+let reference_designs () =
+  let tt = Rsg_pla.Truth_table.of_strings [ ("10-", "10"); ("0-1", "01") ] in
+  [ ("pla", (Rsg_pla.Gen.generate tt).Rsg_pla.Gen.cell);
+    ("decoder", (Rsg_pla.Gen.generate_decoder 3).Rsg_pla.Gen.cell);
+    ("ram", (Rsg_ram.Ram_gen.generate ~words:8 ~bits:4 ()).Rsg_ram.Ram_gen.cell);
+    ( "multiplier",
+      (Rsg_mult.Layout_gen.generate ~xsize:4 ~ysize:4 ()).Rsg_mult.Layout_gen.whole )
+  ]
+  @ List.init 10 (fun k -> (Printf.sprintf "random pla %d" k, random_pla k))
+
+let test_reference_walks () =
+  let module Scanline = Rsg_compact.Scanline in
+  let module Extract = Rsg_extract.Extract in
+  let rules = Rsg_compact.Rules.default in
+  List.iter
+    (fun (name, cell) ->
+      let f = Flatten.flatten cell in
+      let items = Scanline.items_of_flat f in
+      let labels = Array.to_list f.Flatten.flat_labels in
+      let check what ok = Alcotest.(check bool) (name ^ ": " ^ what) true ok in
+      check "scanline items" (Scanline.items_of_cell cell = items);
+      check "extract" (Extract.of_cell cell = Extract.of_items items labels);
+      check "mos extract"
+        (Extract.mos_of_cell cell = Extract.mos_of_items items labels);
+      (* a contact smaller than one cut fails alike on both paths *)
+      let expanded f =
+        match f () with v -> Ok v | exception Invalid_argument m -> Error m
+      in
+      check "contact expansion"
+        (expanded (fun () ->
+             (Flatten.flatten
+                (Rsg_compact.Expand_contact.expand_cell rules cell))
+               .Flatten.flat_boxes)
+        = expanded (fun () ->
+              Array.of_list
+                (List.concat_map
+                   (fun (l, b) ->
+                     if Layer.equal l Layer.Contact then
+                       Rsg_compact.Expand_contact.expand_box rules b
+                     else [ (l, b) ])
+                   (Array.to_list f.Flatten.flat_boxes))));
+      let placements = Flatten.instance_placements cell in
+      List.iter
+        (fun (n, _) ->
+          check ("positions of " ^ n)
+            (Flatten.positions cell n
+            = List.sort Vec.compare
+                (List.filter_map
+                   (fun (m, (t : Transform.t)) ->
+                     if String.equal m n then Some t.Transform.offset else None)
+                   placements)))
+        (Flatten.stats cell).Flatten.by_cell)
+    (reference_designs ())
+
+(* Group names stay within ten characters ("prototypes"): Alcotest pads
+   every group to the longest name and cuts case names short to fit an
+   80-column report, so a longer group name would rename long cases in
+   the report. *)
 let () =
   Alcotest.run "rsg_layout"
     [ ("cell",
@@ -723,6 +910,8 @@ let () =
          Alcotest.test_case "negative coordinates" `Quick test_cif_negative_coords;
          Alcotest.test_case "file io" `Quick test_cif_file_io;
          Alcotest.test_case "rejects garbage" `Quick test_cif_rejects_garbage;
+         Alcotest.test_case "error names line and escapes token" `Quick
+           test_cif_error_excerpt;
          Alcotest.test_case "generated pla round trip" `Quick
            test_cif_generated_pla_roundtrip;
          prop_cif_roundtrip ]);
@@ -756,6 +945,12 @@ let () =
        [ Alcotest.test_case "cif output" `Quick test_cif_golden;
          Alcotest.test_case "def output" `Quick test_def_golden;
          Alcotest.test_case "pla cif bytes" `Quick test_cif_golden_pla ]);
+      ("chips",
+       [ Alcotest.test_case "3x3 and 4x4 multipliers" `Quick test_chip_roundtrip;
+         Alcotest.test_case "ten-block chip" `Quick test_ten_block_chip;
+         prop_pla_pair_chip ]);
+      ("reference",
+       [ Alcotest.test_case "rerouted entry points" `Quick test_reference_walks ]);
       ("fuzz",
        [ (* hostile input must fail cleanly, never crash *)
          QCheck_alcotest.to_alcotest
@@ -765,7 +960,7 @@ let () =
               (fun s ->
                 match Cif.of_string s with
                 | _ -> true
-                | exception Failure _ -> true));
+                | exception Cif.Parse_error _ -> true));
          QCheck_alcotest.to_alcotest
            (QCheck.Test.make ~count:300 ~name:"def reader never crashes"
               QCheck.(string_gen_of_size (QCheck.Gen.int_range 0 200)
@@ -773,4 +968,4 @@ let () =
               (fun s ->
                 match Def.of_string s with
                 | _ -> true
-                | exception Failure _ -> true)) ]) ]
+                | exception Def.Parse_error _ -> true)) ]) ]

@@ -188,7 +188,7 @@ let test_generated_counts () =
 let test_basic_cell_grid () =
   let xsize = 4 and ysize = 3 in
   let g = Layout_gen.generate ~xsize ~ysize () in
-  let positions = Layout_gen.mask_positions g.Layout_gen.whole "cell" in
+  let positions = Flatten.positions g.Layout_gen.whole "cell" in
   let expected =
     List.concat_map
       (fun x ->
@@ -210,7 +210,7 @@ let test_personalisation_matches_logic () =
   let g = Layout_gen.generate ~xsize ~ysize () in
   let mask_offset = Vec.make 6 28 in
   let got =
-    Layout_gen.mask_positions g.Layout_gen.whole "t2"
+    Flatten.positions g.Layout_gen.whole "t2"
     |> List.map (fun p ->
            let q = Vec.sub p mask_offset in
            (q.Vec.x / Sample_lib.cell_width, q.Vec.y / Sample_lib.cell_height))

@@ -44,6 +44,14 @@ let test_tt_errors () =
   Alcotest.(check bool) "ragged" true (raises [ ("10", "1"); ("1", "1") ]);
   Alcotest.(check bool) "bad char" true (raises [ ("1z", "1") ])
 
+(* Row [4 3] has a bad input and a bad output character: the input
+   comes first, so it is the one named. *)
+let test_tt_first_bad_char () =
+  match Truth_table.of_strings [ ("4", "3") ] with
+  | _ -> Alcotest.fail "bad row accepted"
+  | exception Truth_table.Malformed msg ->
+    Alcotest.(check string) "first bad character" "bad input character 4" msg
+
 let test_tt_equal_semantics () =
   (* different terms, same function *)
   let a = Truth_table.of_strings [ ("1-", "1") ] in
@@ -451,6 +459,8 @@ let () =
          Alcotest.test_case "don't care" `Quick test_tt_dont_care;
          Alcotest.test_case "crosspoints" `Quick test_tt_crosspoints;
          Alcotest.test_case "errors" `Quick test_tt_errors;
+         Alcotest.test_case "first bad character named" `Quick
+           test_tt_first_bad_char;
          Alcotest.test_case "semantic equality" `Quick test_tt_equal_semantics ]);
       ("generate",
        [ Alcotest.test_case "verify by extraction" `Quick

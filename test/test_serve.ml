@@ -183,7 +183,7 @@ let test_jobspec_grammar () =
   (match Jobspec.parse_manifest "m4 multiplier size=4\nx pla rows=4:3\n" with
   | Ok _ -> Alcotest.fail "bad pla row: accepted"
   | Error msg ->
-    Alcotest.(check string) "bad pla row" "line 2: bad output character 3" msg);
+    Alcotest.(check string) "bad pla row" "line 2: bad input character 4" msg);
   (* params have CLI-compatible defaults: a bare decoder is n=3 *)
   match Jobspec.parse_manifest "a decoder\n" with
   | Ok [ j ] ->
